@@ -11,22 +11,31 @@ strides inside stages 3-5).  ``mini_vgg``, ``mini_resnet`` and
 ``mini_cnn`` are reduced-width variants of the same grammar for fast
 deterministic experiments.
 
-Complexity accounting counts one multiply-accumulate as one FLOP by
-default (a ``x2`` mode doubles conv/linear costs); pooling, activations
-and normalizers count one op per output element.
+Complexity accounting (``Model.count_stats``) prices each layer kind by
+one rule, applied to the outputs of one eval-mode forward at batch 1 and
+scaled by the batch size:
+
+* conv: C_in * k^2 multiply-accumulates per output element;
+* linear: in_features multiply-accumulates per output element;
+* every other kind (batchnorm, relu, softplus, pooling, score
+  normalizer): one op per output element.
+
+A multiply-accumulate counts as one FLOP by default and as two with
+``flop_mode=2``.  Work done outside a layer (the residual add, the
+channel concat, reshapes, the head-score sum) is not counted.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Literal, Sequence
 
 import numpy as np
 
 from .errors import BuildError, ContractError, ShapeError
 from .heads import ClassifierHead, aggregate_scores
-from .layers import AdaptiveMaxPool, BatchNorm2d, Conv2d, Layer, Linear, MaxPool2x2, ReLU, add_skip
-from .tensor import SeededRng, TensorLike, as_array
+from .layers import AdaptiveMaxPool, BatchNorm2d, Conv2d, Layer, Linear, MaxPool2x2, ReLU
+from .rng import SeededRng
 
 BlockKind = Literal["plain_conv", "residual_basic", "downsample_transition", "concat_merge"]
 Reduction = Literal["pool", "stride", "none"]
@@ -74,55 +83,12 @@ class BackboneSpec:
 # composite modules
 # --------------------------------------------------------------------------
 
-class _Composite:
-    """Shared traversal plumbing for blocks, stages and classifiers."""
-
-    def children(self) -> list[tuple[str, object]]:
-        raise NotImplementedError
-
-    def _layers(self):
-        for name, child in self.children():
-            if isinstance(child, Layer):
-                yield name, child
-            else:
-                for sub, layer in child._layers():
-                    yield f"{name}.{sub}", layer
-
-    def set_training(self, flag: bool):
-        for _, layer in self._layers():
-            layer.set_training(flag)
-
-    def zero_grads(self):
-        for _, layer in self._layers():
-            layer.zero_grads()
-
-    def named_params(self, prefix: str = "") -> dict[str, np.ndarray]:
-        out = {}
-        for name, layer in self._layers():
-            for k, v in layer.params.items():
-                out[f"{prefix}{name}.{k}"] = v
-        return out
-
-    def named_grads(self, prefix: str = "") -> dict[str, np.ndarray]:
-        out = {}
-        for name, layer in self._layers():
-            for k, v in layer.grads.items():
-                out[f"{prefix}{name}.{k}"] = v
-        return out
-
-    def named_buffers(self, prefix: str = "") -> dict[str, np.ndarray]:
-        out = {}
-        for name, layer in self._layers():
-            for k, v in layer.buffers().items():
-                out[f"{prefix}{name}.{k}"] = v
-        return out
-
-
-class PlainConvBlock(_Composite):
+class PlainConvBlock(Layer):
     """conv(+bn)+relu chain; bias only when no batchnorm follows the conv."""
 
     def __init__(self, in_channels: int, spec: BlockSpec, stride_first: int,
                  rng: SeededRng, dtype):
+        super().__init__()
         self.convs: list[Conv2d] = []
         self.bns: list[BatchNorm2d | None] = []
         self.relus: list[ReLU] = []
@@ -139,47 +105,19 @@ class PlainConvBlock(_Composite):
 
     def children(self):
         out = []
-        for i, conv in enumerate(self.convs):
+        for i, (conv, bn, relu) in enumerate(zip(self.convs, self.bns, self.relus)):
             out.append((f"conv{i}", conv))
-            if self.bns[i] is not None:
-                out.append((f"bn{i}", self.bns[i]))
+            if bn is not None:
+                out.append((f"bn{i}", bn))
+            out.append((f"relu{i}", relu))
         return out
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        for conv, bn, relu in zip(self.convs, self.bns, self.relus):
-            x = conv.forward(x)
-            if bn is not None:
-                x = bn.forward(x)
-            x = relu.forward(x)
-        return x
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        for conv, bn, relu in zip(reversed(self.convs), reversed(self.bns), reversed(self.relus)):
-            grad = relu.backward(grad)
-            if bn is not None:
-                grad = bn.backward(grad)
-            grad = conv.backward(grad)
-        return grad
-
-    def count_stats(self, in_shape, factor: int):
-        b, c, h, w = in_shape
-        params = flops = 0
-        for conv, bn in zip(self.convs, self.bns):
-            ho, wo = conv.out_hw(h, w)
-            params += sum(p.size for p in conv.params.values())
-            flops += factor * b * conv.out_channels * ho * wo * conv.in_channels * conv.kernel_size ** 2
-            if bn is not None:
-                params += sum(p.size for p in bn.params.values())
-                flops += b * conv.out_channels * ho * wo
-            flops += b * conv.out_channels * ho * wo  # relu
-            c, h, w = conv.out_channels, ho, wo
-        return params, flops, (b, c, h, w)
-
-
-class _ResidualUnit(_Composite):
+class _ResidualUnit(Layer):
     """conv-bn-relu-conv-bn with identity or projected skip, then relu."""
 
     def __init__(self, in_channels: int, plan, stride: int, rng: SeededRng, dtype):
+        super().__init__()
         (k1, ch1), (k2, ch2) = plan
         self.conv1 = Conv2d(in_channels, ch1, k1, stride=stride, pad=k1 // 2,
                             bias=False, rng=rng, dtype=dtype)
@@ -199,20 +137,17 @@ class _ResidualUnit(_Composite):
         self.out_channels = ch2
 
     def children(self):
-        out = [("conv1", self.conv1), ("bn1", self.bn1),
+        out = [("conv1", self.conv1), ("bn1", self.bn1), ("relu1", self.relu1),
                ("conv2", self.conv2), ("bn2", self.bn2)]
         if self.proj is not None:
             out += [("proj", self.proj), ("proj_bn", self.proj_bn)]
-        return out
+        return out + [("relu2", self.relu2)]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        main = self.relu1.forward(self.bn1.forward(self.conv1.forward(x)))
-        main = self.bn2.forward(self.conv2.forward(main))
-        if self.proj is not None:
-            skip = self.proj_bn.forward(self.proj.forward(x))
-        else:
-            skip = x
-        return self.relu2.forward(add_skip(main, skip))
+        main = self.relu1(self.bn1(self.conv1(x)))
+        main = self.bn2(self.conv2(main))
+        skip = self.proj_bn(self.proj(x)) if self.proj is not None else x
+        return self.relu2(main + skip)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         grad = self.relu2.backward(grad)
@@ -224,31 +159,13 @@ class _ResidualUnit(_Composite):
             gskip = grad
         return gmain + gskip
 
-    def count_stats(self, in_shape, factor: int):
-        b, c, h, w = in_shape
-        params = flops = 0
-        for conv, bn in ((self.conv1, self.bn1), (self.conv2, self.bn2)):
-            ho, wo = conv.out_hw(h, w)
-            params += sum(p.size for p in conv.params.values())
-            flops += factor * b * conv.out_channels * ho * wo * conv.in_channels * conv.kernel_size ** 2
-            params += sum(p.size for p in bn.params.values())
-            flops += 2 * b * conv.out_channels * ho * wo  # bn + relu/skip-add
-            h, w = ho, wo
-        if self.proj is not None:
-            bi, ci, hi, wi = in_shape
-            ho, wo = self.proj.out_hw(hi, wi)
-            params += sum(p.size for p in self.proj.params.values())
-            params += sum(p.size for p in self.proj_bn.params.values())
-            flops += factor * b * self.proj.out_channels * ho * wo * self.proj.in_channels
-            flops += b * self.proj.out_channels * ho * wo
-        return params, flops, (b, self.out_channels, h, w)
 
-
-class ResidualBlock(_Composite):
+class ResidualBlock(Layer):
     """``repeat`` stacked residual units; stride applies to the first."""
 
     def __init__(self, in_channels: int, spec: BlockSpec, stride_first: int,
                  rng: SeededRng, dtype):
+        super().__init__()
         if len(spec.plan) != 2:
             raise BuildError("residual_basic needs a two-conv plan")
         self.units: list[_ResidualUnit] = []
@@ -263,31 +180,13 @@ class ResidualBlock(_Composite):
     def children(self):
         return [(f"unit{i}", u) for i, u in enumerate(self.units)]
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        for u in self.units:
-            x = u.forward(x)
-        return x
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        for u in reversed(self.units):
-            grad = u.backward(grad)
-        return grad
-
-    def count_stats(self, in_shape, factor: int):
-        params = flops = 0
-        shape = in_shape
-        for u in self.units:
-            p, f, shape = u.count_stats(shape, factor)
-            params += p
-            flops += f
-        return params, flops, shape
-
-
-class TransitionBlock(_Composite):
+class TransitionBlock(Layer):
     """1x1 conv channel adapter (+bn+relu); spatial reduction is stage-level."""
 
     def __init__(self, in_channels: int, spec: BlockSpec, stride_first: int,
                  rng: SeededRng, dtype):
+        super().__init__()
         if len(spec.plan) != 1 or spec.plan[0][0] != 1:
             raise BuildError("downsample_transition needs a single 1x1 plan")
         out_ch = spec.plan[0][1]
@@ -301,33 +200,10 @@ class TransitionBlock(_Composite):
         out = [("conv", self.conv)]
         if self.bn is not None:
             out.append(("bn", self.bn))
-        return out
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        x = self.conv.forward(x)
-        if self.bn is not None:
-            x = self.bn.forward(x)
-        return self.relu.forward(x)
-
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        grad = self.relu.backward(grad)
-        if self.bn is not None:
-            grad = self.bn.backward(grad)
-        return self.conv.backward(grad)
-
-    def count_stats(self, in_shape, factor: int):
-        b, c, h, w = in_shape
-        ho, wo = self.conv.out_hw(h, w)
-        params = sum(p.size for p in self.conv.params.values())
-        flops = factor * b * self.out_channels * ho * wo * c
-        if self.bn is not None:
-            params += sum(p.size for p in self.bn.params.values())
-            flops += b * self.out_channels * ho * wo
-        flops += b * self.out_channels * ho * wo
-        return params, flops, (b, self.out_channels, ho, wo)
+        return out + [("relu", self.relu)]
 
 
-class ConcatMergeBlock(_Composite):
+class ConcatMergeBlock(Layer):
     """Dense-style merge: output is [input, body(input)] along channels.
 
     Expressive enough for dense-block grammars; no built-in preset uses it.
@@ -335,6 +211,7 @@ class ConcatMergeBlock(_Composite):
 
     def __init__(self, in_channels: int, spec: BlockSpec, stride_first: int,
                  rng: SeededRng, dtype):
+        super().__init__()
         if stride_first != 1:
             raise BuildError("concat_merge does not take a stage stride")
         self.in_channels = in_channels
@@ -345,7 +222,7 @@ class ConcatMergeBlock(_Composite):
         return [("body", self.body)]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        y = self.body.forward(x)
+        y = self.body(x)
         if y.shape[2:] != x.shape[2:]:
             raise BuildError("concat_merge body must preserve spatial extents")
         return np.concatenate([x, y], axis=1)
@@ -354,12 +231,6 @@ class ConcatMergeBlock(_Composite):
         gx = grad[:, :self.in_channels]
         gy = grad[:, self.in_channels:]
         return np.ascontiguousarray(gx) + self.body.backward(np.ascontiguousarray(gy))
-
-    def count_stats(self, in_shape, factor: int):
-        b, c, h, w = in_shape
-        params, flops, (b2, cb, ho, wo) = self.body.count_stats(in_shape, factor)
-        flops += b * self.out_channels * ho * wo  # concat copy
-        return params, flops, (b, self.out_channels, ho, wo)
 
 
 _BLOCK_BUILDERS = {
@@ -370,11 +241,12 @@ _BLOCK_BUILDERS = {
 }
 
 
-class SetModule(_Composite):
+class SetModule(Layer):
     """One stage: its blocks plus the stage-level spatial reduction."""
 
     def __init__(self, index: int, in_channels: int, spec: SetSpec,
                  rng: SeededRng, dtype):
+        super().__init__()
         self.index = index
         self.blocks = []
         ch = in_channels
@@ -396,40 +268,13 @@ class SetModule(_Composite):
         return out
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        for b in self.blocks:
-            x = b.forward(x)
-        if self.pool is not None:
-            if x.shape[2] < 2 or x.shape[3] < 2:
-                raise ShapeError(
-                    f"set {self.index}: feature {x.shape[2]}x{x.shape[3]} too small to pool")
-            x = self.pool.forward(x)
-        return x
-
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        if self.pool is not None:
-            grad = self.pool.backward(grad)
-        for b in reversed(self.blocks):
-            grad = b.backward(grad)
-        return grad
-
-    def count_stats(self, in_shape, factor: int):
-        params = flops = 0
-        shape = in_shape
-        for b in self.blocks:
-            p, f, shape = b.count_stats(shape, factor)
-            params += p
-            flops += f
-        if self.pool is not None:
-            bsz, c, h, w = shape
-            if h < 2 or w < 2:
-                raise ShapeError(f"set {self.index}: feature {h}x{w} too small to pool")
-            ho, wo = self.pool.out_hw(h, w)
-            flops += bsz * c * ho * wo
-            shape = (bsz, c, ho, wo)
-        return params, flops, shape
+        try:
+            return super().forward(x)
+        except ShapeError as exc:
+            raise ShapeError(f"set {self.index}: {exc}") from exc
 
 
-class OriginalClassifier(_Composite):
+class OriginalClassifier(Layer):
     """Final classifier: global max pool, then a linear stack on the channels.
 
     ``hidden`` inserts intermediate linear+relu widths (e.g. (4096, 4096)
@@ -438,6 +283,7 @@ class OriginalClassifier(_Composite):
 
     def __init__(self, in_channels: int, n_classes: int, hidden: Sequence[int] = (),
                  rng: SeededRng | None = None, dtype=np.float32):
+        super().__init__()
         rng = rng if rng is not None else SeededRng(0)
         self.pool = AdaptiveMaxPool()
         self.in_channels = in_channels
@@ -450,36 +296,23 @@ class OriginalClassifier(_Composite):
                 self.relus.append(ReLU())
 
     def children(self):
-        return [("pool", self.pool)] + [(f"fc{i}", l) for i, l in enumerate(self.linears)]
+        out = [("pool", self.pool)]
+        for i, lin in enumerate(self.linears):
+            out.append((f"fc{i}", lin))
+            if i < len(self.relus):
+                out.append((f"relu{i}", self.relus[i]))
+        return out
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        z = self.pool.forward(x)
-        z = z.reshape(z.shape[0], self.in_channels)
-        for i, lin in enumerate(self.linears):
-            z = lin.forward(z)
-            if i < len(self.relus):
-                z = self.relus[i].forward(z)
+        z = self.pool(x).reshape(x.shape[0], self.in_channels)
+        for _, layer in self.children()[1:]:
+            z = layer(z)
         return z
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        for i in range(len(self.linears) - 1, -1, -1):
-            if i < len(self.relus):
-                grad = self.relus[i].backward(grad)
-            grad = self.linears[i].backward(grad)
-        grad = grad.reshape(grad.shape[0], self.in_channels, 1, 1)
-        return self.pool.backward(grad)
-
-    def count_stats(self, in_shape, factor: int):
-        b, c, h, w = in_shape
-        params = 0
-        flops = b * c  # adaptive pool
-        feat = c
-        for lin in self.linears:
-            params += sum(p.size for p in lin.params.values())
-            flops += factor * b * lin.in_features * lin.out_features
-            feat = lin.out_features
-        flops += b * feat * max(0, len(self.relus))
-        return params, flops, (b, feat)
+        for _, layer in reversed(self.children()[1:]):
+            grad = layer.backward(grad)
+        return self.pool.backward(grad.reshape(grad.shape[0], self.in_channels, 1, 1))
 
 
 # --------------------------------------------------------------------------
@@ -507,12 +340,17 @@ class ModelStats:
         return out
 
 
-class Model:
-    """A built backbone plus its classifier(s); owns forward and backward."""
+class Model(Layer):
+    """A built backbone plus its classifier(s); owns forward and backward.
+
+    Its children are the stages ``set<i>``, then either the heads
+    ``head<t>`` (``multi`` mode) or one ``classifier`` (``original``).
+    """
 
     def __init__(self, spec: BackboneSpec, sets: list[SetModule], n_classes: int,
                  mode: str, heads: list[ClassifierHead] | None,
                  classifier: OriginalClassifier | None, dtype):
+        super().__init__()
         self.spec = spec
         self.sets = sets
         self.n_classes = n_classes
@@ -526,61 +364,16 @@ class Model:
     def n_sets(self) -> int:
         return len(self.sets)
 
-    def set_training(self, flag: bool):
-        for s in self.sets:
-            s.set_training(flag)
+    def children(self):
+        out = [(f"set{s.index}", s) for s in self.sets]
         if self.heads is not None:
-            for h in self.heads:
-                h.set_training(flag)
-        if self.classifier is not None:
-            self.classifier.set_training(flag)
+            return out + [(f"head{h.t}", h) for h in self.heads]
+        return out + [("classifier", self.classifier)]
 
-    def zero_grads(self):
-        for s in self.sets:
-            s.zero_grads()
-        if self.heads is not None:
-            for h in self.heads:
-                h.zero_grads()
-        if self.classifier is not None:
-            self.classifier.zero_grads()
-
-    def named_params(self) -> dict[str, np.ndarray]:
-        out = {}
-        for i, s in enumerate(self.sets, start=1):
-            out.update(s.named_params(prefix=f"set{i}."))
-        if self.heads is not None:
-            for h in self.heads:
-                out.update(h.named_params(prefix=f"head{h.t}."))
-        if self.classifier is not None:
-            out.update(self.classifier.named_params(prefix="classifier."))
-        return out
-
-    def named_grads(self) -> dict[str, np.ndarray]:
-        out = {}
-        for i, s in enumerate(self.sets, start=1):
-            out.update(s.named_grads(prefix=f"set{i}."))
-        if self.heads is not None:
-            for h in self.heads:
-                out.update(h.named_grads(prefix=f"head{h.t}."))
-        if self.classifier is not None:
-            out.update(self.classifier.named_grads(prefix="classifier."))
-        return out
-
-    def named_buffers(self) -> dict[str, np.ndarray]:
-        out = {}
-        for i, s in enumerate(self.sets, start=1):
-            out.update(s.named_buffers(prefix=f"set{i}."))
-        if self.heads is not None:
-            for h in self.heads:
-                out.update(h.named_buffers(prefix=f"head{h.t}."))
-        if self.classifier is not None:
-            out.update(self.classifier.named_buffers(prefix="classifier."))
-        return out
-
-    def forward(self, x: TensorLike, training: bool = False):
+    def forward(self, x: np.ndarray, training: bool = False):
         """Run the chain; returns (output, per_head) where per_head is None
         in original mode.  Eval mode (training=False) is deterministic."""
-        x = as_array(x)
+        x = np.asarray(x)
         if x.ndim != 4 or x.shape[1] != self.spec.in_channels:
             raise ShapeError(
                 f"expected (B,{self.spec.in_channels},H,W) input, got {x.shape}")
@@ -588,13 +381,13 @@ class Model:
         taps = []
         h = x.astype(self.dtype, copy=False)
         for s in self.sets:
-            h = s.forward(h)
+            h = s(h)
             taps.append(h)
         self._taps = taps
         if self.mode == "multi":
-            per_head = [head.forward(t) for head, t in zip(self.heads, taps)]
+            per_head = [head(t) for head, t in zip(self.heads, taps)]
             return aggregate_scores(per_head), per_head
-        return self.classifier.forward(taps[-1]), None
+        return self.classifier(taps[-1]), None
 
     def backward(self, grad_out: np.ndarray) -> None:
         """Backpropagate from the model output gradient into all parameters."""
@@ -624,47 +417,55 @@ class Model:
         return None
 
     def count_stats(self, input_shape, flop_mode: int = 1) -> ModelStats:
-        """Exact trainable-scalar count and forward FLOPs at ``input_shape``."""
+        """Exact trainable-scalar count and forward FLOPs at ``input_shape``.
+
+        Runs one eval-mode forward of a zero image at batch 1, prices every
+        leaf layer's output with its kind's ``Layer.cost`` and scales by the
+        batch size.  A head's cost is attributed to the stage it taps.
+        Leaves no cache behind: a ``backward`` after it raises.  The forward
+        uses the model's weights, so in ``multi`` mode non-finite weights
+        raise ``DomainError`` from the score normalizer.
+        """
         if flop_mode not in (1, 2):
             raise ContractError("flop_mode is 1 (MAC=1) or 2 (MAC=2)")
         b, c, h, w = input_shape
         if c != self.spec.in_channels:
             raise ShapeError(f"input channels {c} != spec {self.spec.in_channels}")
+        n_out = {}
+
+        def observe(layer: Layer, out: np.ndarray):
+            n_out[layer] = out.size
+
+        layers = [layer for _, layer in self.modules()]
+        for layer in layers:
+            layer._observer = observe
+        try:
+            self.forward(np.zeros((1, c, h, w), dtype=self.dtype), training=False)
+        finally:
+            for layer in layers:
+                del layer._observer
+                layer._cache = None
+            self._taps = None
+
+        def cost(part: Layer) -> tuple[int, int]:
+            params = sum(p.size for p in part.named_params().values())
+            flops = sum(layer.cost(n_out[layer], flop_mode)
+                        for _, layer in part.modules() if not layer.children())
+            return params, b * flops
+
+        costs = {name: cost(part) for name, part in self.children()}
         per_set = []
-        shape = tuple(input_shape)
-        tap_shapes = []
-        for i, s in enumerate(self.sets, start=1):
-            p, f, shape = s.count_stats(shape, flop_mode)
-            tap_shapes.append(shape)
-            per_set.append([f"set{i}", p, f])
-        cls_p = cls_f = 0
-        if self.mode == "multi":
-            # head cost is attributed to the stage it taps
-            for head, tshape in zip(self.heads, tap_shapes):
-                bb, cc, hh, ww = tshape
-                hp = sum(p.size for p in head.conv.params.values())
-                hf = flop_mode * bb * head.target_channels * hh * ww * cc * 9
-                hf += bb * head.target_channels          # adaptive pool
-                hp += sum(p.size for p in head.bn.params.values())
-                hf += bb * head.target_channels          # batchnorm on (1,1)
-                hp += sum(p.size for p in head.fc.params.values())
-                hf += flop_mode * bb * head.target_channels * head.n_classes
-                hf += 2 * bb * head.n_classes            # softplus + normalizer
-                per_set[head.t - 1][1] += hp
-                per_set[head.t - 1][2] += hf
-                cls_p += hp
-                cls_f += hf
-        else:
-            cls_p, cls_f, _ = self.classifier.count_stats(tap_shapes[-1], flop_mode)
-            per_set.append(["classifier", cls_p, cls_f])
-        total_p = sum(row[1] for row in per_set)
-        total_f = sum(row[2] for row in per_set)
-        if self.mode == "original":
-            per_set = per_set[:-1]
+        for s in self.sets:
+            p, f = costs[f"set{s.index}"]
+            hp, hf = costs.get(f"head{s.index}", (0, 0))
+            per_set.append((f"set{s.index}", p + hp, f + hf))
+        tops = [v for k, v in costs.items() if not k.startswith("set")]
         convention = "1 MAC = 1 FLOP" if flop_mode == 1 else "1 MAC = 2 FLOPs"
-        return ModelStats(params=total_p, flops=total_f,
-                          per_set=[tuple(row) for row in per_set],
-                          classifier_params=cls_p, classifier_flops=cls_f,
+        return ModelStats(params=sum(p for p, _ in costs.values()),
+                          flops=sum(f for _, f in costs.values()),
+                          per_set=per_set,
+                          classifier_params=sum(p for p, _ in tops),
+                          classifier_flops=sum(f for _, f in tops),
                           input_shape=tuple(input_shape), flop_convention=convention)
 
 

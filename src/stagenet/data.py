@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractError, DataError, FormatError
-from .tensor import SeededRng
+from .rng import SeededRng
 
 CIFAR_PIXELS = 3072
 CIFAR10_RECORD = 1 + CIFAR_PIXELS

@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from . import layers as L
-from .tensor import SeededRng
+from .rng import SeededRng
 
 DEFAULT_EPS = 1e-5
 DEFAULT_TOL = 1e-4
@@ -136,31 +136,38 @@ def check_model(model, x: np.ndarray, eps: float = DEFAULT_EPS,
     """Finite-difference check of a whole model's parameter gradients.
 
     ``model`` must expose forward(x, training)->output, backward(grad),
-    named_params(), and zero_grads(); the objective is a fixed random
-    weighting of the output so every score participates.
+    named_params(), named_buffers(), and zero_grads(); the objective is a
+    fixed random weighting of the output so every score participates.
+    The training-mode forwards move batchnorm running statistics; every
+    buffer is written back to its value on entry before returning.
     """
     x = x.astype(np.float64)
-    out0 = model.forward(x, training=True)[0]
-    weights = SeededRng(7, 11).uniform(-1.0, 1.0, out0.shape)
+    saved_buffers = {k: v.copy() for k, v in model.named_buffers().items()}
+    try:
+        out0 = model.forward(x, training=True)[0]
+        weights = SeededRng(7, 11).uniform(-1.0, 1.0, out0.shape)
 
-    def objective() -> float:
-        out = model.forward(x, training=True)[0]
-        return float(np.sum(weights * out))
+        def objective() -> float:
+            out = model.forward(x, training=True)[0]
+            return float(np.sum(weights * out))
 
-    model.zero_grads()
-    model.forward(x, training=True)
-    model.backward(weights)
-    analytic = {k: v.copy() for k, v in model.named_grads().items()}
+        model.zero_grads()
+        model.forward(x, training=True)
+        model.backward(weights)
+        analytic = {k: v.copy() for k, v in model.named_grads().items()}
 
-    results = []
-    for key, p in model.named_params().items():
-        def f_of_p(pv: np.ndarray, key=key, p=p) -> float:
-            saved = p.copy()
-            p[...] = pv
-            try:
-                return objective()
-            finally:
-                p[...] = saved
-        num = numerical_gradient(f_of_p, p.astype(np.float64), eps)
-        results.append(CheckResult(key, relative_error(analytic[key], num), tol))
-    return results
+        results = []
+        for key, p in model.named_params().items():
+            def f_of_p(pv: np.ndarray, key=key, p=p) -> float:
+                saved = p.copy()
+                p[...] = pv
+                try:
+                    return objective()
+                finally:
+                    p[...] = saved
+            num = numerical_gradient(f_of_p, p.astype(np.float64), eps)
+            results.append(CheckResult(key, relative_error(analytic[key], num), tol))
+        return results
+    finally:
+        for k, v in model.named_buffers().items():
+            v[...] = saved_buffers[k]

@@ -7,7 +7,7 @@ softplus (so raw scores stay positive), then a score normalizer.  The
 default normalizer is the L2 form; softmax is available for ablations.
 
 A model with T stages carries exactly T heads, and the model's output is
-the plain elementwise sum of the per-head score vectors.
+the plain sum of the per-head score vectors, entry by entry.
 """
 
 from __future__ import annotations
@@ -16,27 +16,51 @@ import numpy as np
 
 from . import scorenorm
 from .errors import ContractError, ShapeError
-from .layers import AdaptiveMaxPool, BatchNorm2d, Conv2d, Linear, Softplus
-from .tensor import SeededRng, TensorLike, as_array
+from .layers import AdaptiveMaxPool, BatchNorm2d, Conv2d, Layer, Linear, Softplus
+from .rng import SeededRng
 
-NORMALIZERS = ("l2", "softmax")
+# normalizer name -> (layer kind, forward, vector-Jacobian product)
+NORMALIZERS = {
+    "l2": ("l2_score", scorenorm.l2_score, scorenorm.l2_score_vjp),
+    "softmax": ("softmax", scorenorm.softmax, scorenorm.softmax_vjp),
+}
 
 
-class ClassifierHead:
+class ScoreNorm(Layer):
+    """Row-wise score normalizer: the L2 score (square root of softmax) or
+    softmax itself."""
+
+    def __init__(self, normalizer: str = "l2"):
+        super().__init__()
+        if normalizer not in NORMALIZERS:
+            raise ContractError(
+                f"normalizer must be one of {tuple(NORMALIZERS)}, got {normalizer!r}")
+        self.kind, self._fn, self._vjp = NORMALIZERS[normalizer]
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        out = self._fn(x)
+        self._cache = out
+        return out
+
+    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+        out = self._need_cache()
+        return self._vjp(out, grad_out).astype(out.dtype)
+
+
+class ClassifierHead(Layer):
     """Downsample -> FC -> normalized score vector for one stage's feature."""
 
     def __init__(self, t: int, in_channels: int, target_channels: int,
                  n_classes: int, normalizer: str = "l2",
                  rng: SeededRng | None = None, dtype=np.float32):
-        if normalizer not in NORMALIZERS:
-            raise ContractError(f"normalizer must be one of {NORMALIZERS}, got {normalizer!r}")
+        super().__init__()
         if n_classes < 2:
             raise ContractError("need at least 2 categories")
         self.t = t
         self.in_channels = in_channels
         self.target_channels = target_channels
         self.n_classes = n_classes
-        self.normalizer = normalizer
+        self.norm = ScoreNorm(normalizer)
         rng = rng if rng is not None else SeededRng(0)
         self.conv = Conv2d(in_channels, target_channels, 3, stride=1, pad=1,
                            bias=False, rng=rng, dtype=dtype)
@@ -44,87 +68,39 @@ class ClassifierHead:
         self.bn = BatchNorm2d(target_channels, dtype=dtype)
         self.fc = Linear(target_channels, n_classes, bias=True, rng=rng, dtype=dtype)
         self.act = Softplus()
-        self._norm_cache = None
 
-    # -- plumbing ---------------------------------------------------------
-    def sublayers(self):
-        return [self.conv, self.pool, self.bn, self.fc, self.act]
+    def children(self):
+        return [("conv", self.conv), ("pool", self.pool), ("bn", self.bn),
+                ("fc", self.fc), ("act", self.act), ("norm", self.norm)]
 
-    def set_training(self, flag: bool):
-        for layer in self.sublayers():
-            layer.set_training(flag)
-
-    def zero_grads(self):
-        for layer in self.sublayers():
-            layer.zero_grads()
-
-    def named_params(self, prefix: str = "") -> dict[str, np.ndarray]:
-        out = {}
-        for lname, layer in (("conv", self.conv), ("bn", self.bn), ("fc", self.fc)):
-            for k, v in layer.params.items():
-                out[f"{prefix}{lname}.{k}"] = v
-        return out
-
-    def named_grads(self, prefix: str = "") -> dict[str, np.ndarray]:
-        out = {}
-        for lname, layer in (("conv", self.conv), ("bn", self.bn), ("fc", self.fc)):
-            for k, v in layer.grads.items():
-                out[f"{prefix}{lname}.{k}"] = v
-        return out
-
-    def named_buffers(self, prefix: str = "") -> dict[str, np.ndarray]:
-        return {f"{prefix}bn.{k}": v for k, v in self.bn.buffers().items()}
-
-    # -- compute ----------------------------------------------------------
-    def forward(self, h_t: TensorLike) -> np.ndarray:
-        x = as_array(h_t)
-        if x.ndim != 4 or x.shape[1] != self.in_channels:
+    def forward(self, h_t: np.ndarray) -> np.ndarray:
+        if h_t.ndim != 4 or h_t.shape[1] != self.in_channels:
             raise ShapeError(
-                f"head {self.t}: expected (B,{self.in_channels},H,W), got {x.shape}")
-        z = self.conv.forward(x)
-        z = self.pool.forward(z)
-        z = self.bn.forward(z)
+                f"head {self.t}: expected (B,{self.in_channels},H,W), got {h_t.shape}")
+        z = self.bn(self.pool(self.conv(h_t)))
         z = z.reshape(z.shape[0], self.target_channels)
-        z = self.fc.forward(z)
-        scores = self.act.forward(z)
-        if self.normalizer == "l2":
-            out = scorenorm.l2_score(scores)
-        else:
-            out = scorenorm.softmax(scores)
-        self._norm_cache = out
-        return out
+        return self.norm(self.act(self.fc(z)))
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._norm_cache is None:
-            raise ContractError("head backward called before forward")
-        out = self._norm_cache
-        if self.normalizer == "l2":
-            g = scorenorm.l2_score_vjp(out, grad_out)
-        else:
-            g = scorenorm.softmax_vjp(out, grad_out)
-        g = self.act.backward(g.astype(out.dtype))
-        g = self.fc.backward(g)
+        g = self.fc.backward(self.act.backward(self.norm.backward(grad_out)))
         g = g.reshape(g.shape[0], self.target_channels, 1, 1)
-        g = self.bn.backward(g)
-        g = self.pool.backward(g)
-        return self.conv.backward(g)
+        return self.conv.backward(self.pool.backward(self.bn.backward(g)))
 
 
 def aggregate_scores(per_head: list[np.ndarray]) -> np.ndarray:
     """Elementwise sum of head outputs, in list order."""
     if not per_head:
         raise ContractError("aggregate_scores needs at least one head output")
-    first = as_array(per_head[0])
+    first = np.asarray(per_head[0])
     total = first.copy()
     for c in per_head[1:]:
-        arr = as_array(c)
+        arr = np.asarray(c)
         if arr.shape != first.shape:
             raise ShapeError(f"head output shapes differ: {arr.shape} vs {first.shape}")
         total += arr
     return total
 
 
-def predict(aggregate: TensorLike) -> np.ndarray:
+def predict(aggregate: np.ndarray) -> np.ndarray:
     """Per-row argmax with ties going to the lowest index."""
-    arr = as_array(aggregate)
-    return np.argmax(arr, axis=-1).astype(np.int64)
+    return np.argmax(np.asarray(aggregate), axis=-1).astype(np.int64)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ContractError, ShapeError
-from .tensor import SeededRng
+from .rng import SeededRng
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -34,9 +34,22 @@ def softplus(x: np.ndarray) -> np.ndarray:
 
 
 class Layer:
-    """Base class: subclasses fill ``params``/``grads`` with matching keys."""
+    """Base of every node of the module tree, leaf layer or composite.
 
-    kind = "layer"
+    A leaf fills ``params``/``grads`` with matching keys and overrides
+    ``forward``/``backward``.  A composite names its sub-layers, in order
+    and including the parameter-free ones, in ``children()``; unless it
+    overrides them, its forward runs the children in that order and its
+    backward runs them reversed.  Composites keep the default ``kind``.
+    Parameters, gradients, buffers and the training flag are reached by
+    one walk, ``modules()``, under qualified names such as
+    ``set1.block0.conv0``.  A parent calls a child as ``child(x)``, which
+    reports the output to ``_observer`` when one is set (``count_stats``
+    sets one for a single forward).
+    """
+
+    kind = "composite"
+    _observer = None
 
     def __init__(self):
         self.params: dict[str, np.ndarray] = {}
@@ -44,27 +57,70 @@ class Layer:
         self.training = True
         self._cache = None
 
+    def children(self) -> list[tuple[str, Layer]]:
+        return []
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        out = self.forward(x)
+        if self._observer is not None:
+            self._observer(self, out)
+        return out
+
     def forward(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        for _, child in self.children():
+            x = child(x)
+        return x
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        for _, child in reversed(self.children()):
+            grad_out = child.backward(grad_out)
+        return grad_out
+
+    def cost(self, n_out: int, flop_mode: int) -> int:
+        """Forward FLOPs for ``n_out`` output elements: one op each.  Conv
+        and linear count their multiply-accumulates instead, times
+        ``flop_mode`` (1 or 2 FLOPs per MAC)."""
+        return n_out
 
     def _need_cache(self):
         if self._cache is None:
             raise ContractError(f"{self.kind}: backward called before forward")
         return self._cache
 
-    def set_training(self, flag: bool):
-        self.training = bool(flag)
-
-    def zero_grads(self):
-        for k in self.params:
-            self.grads[k] = np.zeros_like(self.params[k])
-
     def buffers(self) -> dict[str, np.ndarray]:
         """Non-trainable state that checkpoints must persist."""
         return {}
+
+    # -- the tree ---------------------------------------------------------
+    def modules(self, name: str = "") -> list[tuple[str, Layer]]:
+        """(qualified name, layer) for this layer, then every descendant
+        depth first in ``children()`` order."""
+        out = [(name, self)]
+        for sub, child in self.children():
+            out += child.modules(f"{name}.{sub}" if name else sub)
+        return out
+
+    def _named(self, arrays) -> dict[str, np.ndarray]:
+        return {f"{name}.{k}" if name else k: v
+                for name, layer in self.modules() for k, v in arrays(layer).items()}
+
+    def named_params(self) -> dict[str, np.ndarray]:
+        return self._named(lambda layer: layer.params)
+
+    def named_grads(self) -> dict[str, np.ndarray]:
+        return self._named(lambda layer: layer.grads)
+
+    def named_buffers(self) -> dict[str, np.ndarray]:
+        return self._named(lambda layer: layer.buffers())
+
+    def set_training(self, flag: bool):
+        for _, layer in self.modules():
+            layer.training = bool(flag)
+
+    def zero_grads(self):
+        for _, layer in self.modules():
+            for k, p in layer.params.items():
+                layer.grads[k] = np.zeros_like(p)
 
 
 class Conv2d(Layer):
@@ -94,6 +150,9 @@ class Conv2d(Layer):
         if bias:
             self.params["bias"] = np.zeros(out_channels, dtype=dtype)
         self.zero_grads()
+
+    def cost(self, n_out: int, flop_mode: int) -> int:
+        return flop_mode * n_out * self.in_channels * self.kernel_size ** 2
 
     def out_hw(self, h: int, w: int) -> tuple[int, int]:
         k, s, p = self.kernel_size, self.stride, self.pad
@@ -289,6 +348,9 @@ class Linear(Layer):
             self.params["bias"] = np.zeros(out_features, dtype=dtype)
         self.zero_grads()
 
+    def cost(self, n_out: int, flop_mode: int) -> int:
+        return flop_mode * n_out * self.in_features
+
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 2 or x.shape[1] != self.in_features:
             raise ShapeError(f"linear: expected (B,{self.in_features}), got {x.shape}")
@@ -330,30 +392,3 @@ class Softplus(Layer):
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         x = self._need_cache()
         return grad_out * _sigmoid(x)
-
-
-def add_skip(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Elementwise residual addition; shapes must already match."""
-    if a.shape != b.shape:
-        raise ShapeError(f"add_skip: {a.shape} vs {b.shape}")
-    return a + b
-
-
-class GradTape:
-    """Ordered record of executed layers; backward replays them reversed."""
-
-    def __init__(self):
-        self.nodes: list[Layer] = []
-
-    def run(self, layer: Layer, x: np.ndarray) -> np.ndarray:
-        out = layer.forward(x)
-        self.nodes.append(layer)
-        return out
-
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        for layer in reversed(self.nodes):
-            grad = layer.backward(grad)
-        return grad
-
-    def clear(self):
-        self.nodes.clear()

@@ -23,7 +23,7 @@ from .data import AugmentPolicy, Dataset, augment_batch, normalize_batch
 from .errors import ConfigError, ContractError, FormatError, NumericsError, ShapeError
 from .heads import predict
 from .layers import BatchNorm2d
-from .tensor import SeededRng
+from .rng import SeededRng
 
 _SHUFFLE_TAG = 1 << 48
 
@@ -191,11 +191,7 @@ class PlateauScheduler:
 
 
 def _has_batchnorm(model: Model) -> bool:
-    for s in model.sets:
-        for _, layer in s._layers():
-            if isinstance(layer, BatchNorm2d):
-                return True
-    return model.heads is not None  # every head carries a batchnorm
+    return any(isinstance(layer, BatchNorm2d) for _, layer in model.modules())
 
 
 def _batch_slices(m: int, batch_size: int):
@@ -403,28 +399,34 @@ def load_checkpoint(path: str) -> Checkpoint:
     for _ in range(count):
         name, arr = _read_record(r)
         tensors[name] = arr
+    if r.pos != len(r.buf):
+        raise FormatError(f"{len(r.buf) - r.pos} trailing bytes after the last record")
     return Checkpoint(config=config, epoch_next=epoch_next, adam_t=adam_t,
                       scheduler_state=(lr, best, bad), tensors=tensors)
 
 
 def restore_model(ckpt: Checkpoint, model: Model) -> None:
-    """Copy checkpoint tensors into a built model, validating every shape."""
-    params = model.named_params()
-    buffers = model.named_buffers()
-    for key, arr in ckpt.tensors.items():
-        kind, _, name = key.partition(":")
-        if kind == "param":
-            target = params.get(name)
-        elif kind == "buffer":
-            target = buffers.get(name)
-        else:
-            continue
+    """Copy checkpoint tensors into a built model.
+
+    The checkpoint's params and buffers must match the model's by name and
+    shape, none missing and none extra; nothing is copied unless all match.
+    """
+    targets = {f"param:{k}": v for k, v in model.named_params().items()}
+    targets.update({f"buffer:{k}": v for k, v in model.named_buffers().items()})
+    stored = {k: v for k, v in ckpt.tensors.items() if k.startswith(("param:", "buffer:"))}
+    missing = [key for key in targets if key not in stored]
+    if missing:
+        raise ShapeError(f"checkpoint lacks {len(missing)} model tensor(s), "
+                         f"first {missing[0]!r}")
+    for key, arr in stored.items():
+        target = targets.get(key)
         if target is None:
-            raise ShapeError(f"checkpoint tensor {name!r} has no counterpart in model")
+            raise ShapeError(f"checkpoint tensor {key!r} has no counterpart in model")
         if target.shape != arr.shape:
-            raise ShapeError(f"tensor {name!r}: checkpoint shape {arr.shape} "
+            raise ShapeError(f"tensor {key!r}: checkpoint shape {arr.shape} "
                              f"!= model shape {target.shape}")
-        target[...] = arr.astype(target.dtype)
+    for key, arr in stored.items():
+        targets[key][...] = arr.astype(targets[key].dtype)
 
 
 def restore_optimizer(ckpt: Checkpoint, optimizer: Adam) -> None:

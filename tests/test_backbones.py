@@ -8,19 +8,16 @@ from stagenet.backbones import (BackboneSpec, BlockSpec, SetSpec, mini_cnn_spec,
                                 mini_resnet_spec, mini_vgg_spec, resnet18_spec,
                                 vgg16_spec)
 from stagenet.errors import BuildError, ContractError, ShapeError
+from stagenet.gradcheck import check_model
 from stagenet.layers import Conv2d
-from stagenet.tensor import SeededRng
+from stagenet.rng import SeededRng
 
 N = 10
 
 
 def conv_layers(model):
-    out = []
-    for i, s in enumerate(model.sets, start=1):
-        for name, layer in s._layers():
-            if isinstance(layer, Conv2d):
-                out.append((f"set{i}.{name}", layer))
-    return out
+    return [(name, layer) for s in model.sets
+            for name, layer in s.modules(f"set{s.index}") if isinstance(layer, Conv2d)]
 
 
 class TestStructure:
@@ -239,6 +236,58 @@ class TestComplexityAccounting:
         s2 = model.count_stats((1, 3, 16, 16), flop_mode=2)
         assert s2.flops > s1.flops
         assert s2.params == s1.params
+
+
+class TestCostRule:
+    """One cost rule per layer kind, summed over a traced batch-1 forward."""
+
+    def test_benchmark_models_pinned_exactly(self):
+        shape = (100, 3, 32, 32)
+        model = build_preset("mini_resnet", "multi", n_classes=N)
+        s1, s2 = model.count_stats(shape, 1), model.count_stats(shape, 2)
+        assert s1.params == 65_008
+        assert (s1.flops, s2.flops) == (669_499_200, 1_333_998_400)
+        assert [row[2] for row in s1.per_set] == [259_726_800, 211_803_600,
+                                                  151_797_200, 46_171_600]
+        model = build_preset("mini_vgg", "original", n_classes=N)
+        s1, s2 = model.count_stats(shape, 1), model.count_stats(shape, 2)
+        assert s1.params == 17_930
+        assert (s1.flops, s2.flops) == (201_507_200, 400_604_800)
+        assert [row[2] for row in s1.per_set] == [23_142_400, 89_395_200, 88_934_400]
+        assert s1.classifier_flops == 35_200
+
+    def test_hidden_relus_count_at_their_own_width(self):
+        # pool 512 + linears 512*4096 + 4096*4096 + 4096*10 + relus 4096 + 4096
+        model = build_preset("vgg16", "original", n_classes=N, hidden=(4096, 4096))
+        stats = model.count_stats((1, 3, 32, 32))
+        assert stats.classifier_flops == 18_924_032
+
+    def test_count_stats_leaves_no_state_behind(self):
+        model = build_preset("mini_resnet", "multi", n_classes=N)
+        x = SeededRng(5).uniform(0, 1, (2, 3, 16, 16), dtype=np.float32)
+        out, _ = model.forward(x, training=True)
+        buffers = {k: v.copy() for k, v in model.named_buffers().items()}
+        model.count_stats((2, 3, 16, 16))
+        for k, v in model.named_buffers().items():
+            assert np.array_equal(v, buffers[k]), k
+        with pytest.raises(ContractError):
+            model.backward(np.ones_like(out))
+
+
+class TestCheckModel:
+    def test_passes_and_restores_buffers(self):
+        spec = BackboneSpec("tiny", (
+            SetSpec((BlockSpec("plain_conv", ((3, 2),), 1, batchnorm=True),), "pool"),
+        ), in_channels=1)
+        model = build(spec, "multi", n_classes=2, dtype=np.float64)
+        assert sum(p.size for p in model.named_params().values()) == 68
+        before = {k: v.copy() for k, v in model.named_buffers().items()}
+        results = check_model(model, SeededRng(6).uniform(-1, 1, (3, 1, 6, 6)))
+        assert results and all(r.passed for r in results), [r.line() for r in results]
+        after = model.named_buffers()
+        assert before.keys() == after.keys()
+        for k, v in before.items():
+            assert v.tobytes() == after[k].tobytes(), k
 
 
 class TestConcatMerge:

@@ -7,7 +7,7 @@ from stagenet import aggregate_scores, predict, softmax
 from stagenet.errors import ContractError, ShapeError
 from stagenet.gradcheck import numerical_gradient, relative_error
 from stagenet.heads import ClassifierHead
-from stagenet.tensor import SeededRng
+from stagenet.rng import SeededRng
 
 
 def make_head(normalizer="l2", dtype=np.float64, n_classes=4, in_ch=3, target=6):
