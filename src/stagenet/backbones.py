@@ -22,7 +22,7 @@ scaled by the batch size:
 
 A multiply-accumulate counts as one FLOP by default and as two with
 ``flop_mode=2``.  Work done outside a layer (the residual add, the
-channel concat, reshapes, the head-score sum) is not counted.
+channel concat, the head-score sum) is not counted.
 """
 
 from __future__ import annotations
@@ -275,7 +275,8 @@ class SetModule(Layer):
 
 
 class OriginalClassifier(Layer):
-    """Final classifier: global max pool, then a linear stack on the channels.
+    """Final classifier: global max pool, then a linear stack on the channels;
+    a plain chain, whose first linear flattens the pooled (B,C,1,1) feature.
 
     ``hidden`` inserts intermediate linear+relu widths (e.g. (4096, 4096)
     for the published VGG16 stack); the default is a single linear map.
@@ -286,7 +287,6 @@ class OriginalClassifier(Layer):
         super().__init__()
         rng = rng if rng is not None else SeededRng(0)
         self.pool = AdaptiveMaxPool()
-        self.in_channels = in_channels
         self.linears: list[Linear] = []
         self.relus: list[ReLU] = []
         widths = [in_channels, *hidden, n_classes]
@@ -303,17 +303,6 @@ class OriginalClassifier(Layer):
                 out.append((f"relu{i}", self.relus[i]))
         return out
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        z = self.pool(x).reshape(x.shape[0], self.in_channels)
-        for _, layer in self.children()[1:]:
-            z = layer(z)
-        return z
-
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        for _, layer in reversed(self.children()[1:]):
-            grad = layer.backward(grad)
-        return self.pool.backward(grad.reshape(grad.shape[0], self.in_channels, 1, 1))
-
 
 # --------------------------------------------------------------------------
 # model
@@ -329,15 +318,6 @@ class ModelStats:
     classifier_flops: int
     input_shape: tuple
     flop_convention: str
-
-    def lines(self) -> list[str]:
-        out = [f"input shape {self.input_shape}, flop convention: {self.flop_convention}"]
-        for name, p, f in self.per_set:
-            out.append(f"  {name:<10s} params {p:>12,d}   flops {f:>14,d}")
-        out.append(f"  {'classifier':<10s} params {self.classifier_params:>12,d}   "
-                   f"flops {self.classifier_flops:>14,d}")
-        out.append(f"  {'total':<10s} params {self.params:>12,d}   flops {self.flops:>14,d}")
-        return out
 
 
 class Model(Layer):
@@ -389,8 +369,9 @@ class Model(Layer):
             return aggregate_scores(per_head), per_head
         return self.classifier(taps[-1]), None
 
-    def backward(self, grad_out: np.ndarray) -> None:
-        """Backpropagate from the model output gradient into all parameters."""
+    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+        """Backpropagate from the model output gradient into all parameters;
+        returns the gradient of the input, in the model's dtype."""
         if self._taps is None:
             raise ContractError("backward called before forward")
         grad_out = np.asarray(grad_out, dtype=self.dtype)
@@ -406,6 +387,7 @@ class Model(Layer):
                 g = grad if g is None else g + grad
             grad = self.sets[t].backward(g)
         self._taps = None
+        return grad
 
     def find_nonfinite_layer(self) -> str | None:
         """Name of the first stage/head whose cached output went non-finite."""

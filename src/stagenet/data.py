@@ -33,13 +33,6 @@ CIFAR100_TEST_FILES = ["test.bin"]
 
 
 @dataclass
-class LabeledImage:
-    """One decoded sample: pixels (3,H,W) in [0,1] plus its category."""
-    pixels: np.ndarray
-    label: int
-
-
-@dataclass
 class Dataset:
     """Array-of-images container; images (M,3,H,W) float32, labels (M,)."""
     images: np.ndarray
@@ -48,9 +41,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return self.images.shape[0]
-
-    def __getitem__(self, i: int) -> LabeledImage:
-        return LabeledImage(self.images[i], int(self.labels[i]))
 
     def subset(self, indices) -> "Dataset":
         idx = np.asarray(indices)
@@ -204,9 +194,8 @@ def sample_erase_box(h: int, w: int, policy: AugmentPolicy, rng: SeededRng):
     return None
 
 
-def augment(image: LabeledImage, policy: AugmentPolicy, rng: SeededRng) -> LabeledImage:
-    """Pad-and-crop, flip, normalize, erase; label and shape never change."""
-    px = image.pixels
+def augment(px: np.ndarray, policy: AugmentPolicy, rng: SeededRng) -> np.ndarray:
+    """Pad-and-crop, flip, normalize, erase one (3,H,W) image; shape kept."""
     c, h, w = px.shape
     if policy.crop_pad > 0:
         p = policy.crop_pad
@@ -225,7 +214,7 @@ def augment(image: LabeledImage, policy: AugmentPolicy, rng: SeededRng) -> Label
             px = px.copy()
             px[:, top:top + eh, left:left + ew] = (
                 (noise - policy.mean[:, None, None]) / policy.std[:, None, None])
-    return LabeledImage(np.ascontiguousarray(px, dtype=np.float32), image.label)
+    return np.ascontiguousarray(px, dtype=np.float32)
 
 
 def augment_batch(dataset: Dataset, indices: np.ndarray, policy: AugmentPolicy,
@@ -237,7 +226,7 @@ def augment_batch(dataset: Dataset, indices: np.ndarray, policy: AugmentPolicy,
     base = SeededRng(seed)
     for row, idx in enumerate(indices):
         stream = base.split(epoch * m + int(idx))
-        out[row] = augment(dataset[int(idx)], policy, stream).pixels
+        out[row] = augment(dataset.images[int(idx)], policy, stream)
     return out
 
 
@@ -297,11 +286,3 @@ def _striped_patterns(labels, n_classes, size, rng, noise):
     images += rng.normal(0.0, noise, images.shape)
     return images
 
-
-def nearest_centroid_accuracy(dataset: Dataset) -> float:
-    """Independent reference classifier: per-class mean image, L2 match."""
-    feats = dataset.images.reshape(len(dataset), -1)
-    centroids = np.stack([feats[dataset.labels == c].mean(axis=0)
-                          for c in range(dataset.n_classes)])
-    d2 = ((feats[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-    return float(np.mean(np.argmin(d2, axis=1) == dataset.labels))

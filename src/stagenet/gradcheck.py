@@ -1,10 +1,11 @@
 """Central finite-difference checks for every backward pass.
 
-The checker perturbs each scalar input in 64-bit precision and compares
-the numerical gradient against the analytic backward.  The reported
-error is max|analytic - numerical| normalized by the numerical
-gradient's own scale (with a floor of 1), which stays meaningful when
-individual entries are near zero.
+One driver checks any node, leaf, composite or whole model: it perturbs
+the input and each ``named_params()`` scalar in 64-bit precision, compares
+with the dx that ``backward`` returns and with ``named_grads()``, and
+restores ``named_buffers()`` on exit.  The reported error is max|analytic
+- numerical| normalized by the numerical gradient's own scale (with a
+floor of 1), which stays meaningful when individual entries are near zero.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from typing import Callable
 import numpy as np
 
 from . import layers as L
+from .errors import ContractError
 from .rng import SeededRng
 
 DEFAULT_EPS = 1e-5
@@ -59,53 +61,62 @@ class CheckResult:
         return f"{self.name:<28s} max rel err {self.max_rel_err:.3e}  [{status}]"
 
 
+def _check(node: L.Layer, run: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
+           weights: np.ndarray | None, weight_stream: tuple, eps: float, tol: float,
+           prefix: str) -> list[CheckResult]:
+    """Check ``node``'s input gradient (if backward returns one) and its
+    ``named_params()`` on sum(weights * run(x)), ``run`` giving its output.
+    Missing weights are uniform draws from ``SeededRng(*weight_stream)``.
+    Params are perturbed in place, so they must be 64-bit."""
+    if any(p.dtype != np.float64 for p in node.named_params().values()):
+        raise ContractError("gradient checks perturb params in place; build the node in float64")
+    x = x.astype(np.float64)
+    saved_buffers = {k: v.copy() for k, v in node.named_buffers().items()}
+    try:
+        if weights is None:
+            weights = SeededRng(*weight_stream).uniform(-1.0, 1.0, run(x.copy()).shape)
+
+        def objective(xv: np.ndarray) -> float:
+            return float(np.sum(weights * run(xv)))
+
+        node.zero_grads()
+        out = run(x.copy())
+        dx = node.backward(weights.astype(out.dtype))
+        analytic = {k: v.copy() for k, v in node.named_grads().items()}
+        results = []
+        if dx is not None:
+            num_dx = numerical_gradient(objective, x, eps)
+            results.append(CheckResult(f"{prefix}input", relative_error(dx, num_dx), tol))
+        for key, p in node.named_params().items():
+            def f_of_p(pv: np.ndarray, p=p) -> float:
+                saved = p.copy()
+                p[...] = pv
+                try:
+                    return objective(x.copy())
+                finally:
+                    p[...] = saved
+            num = numerical_gradient(f_of_p, p, eps)
+            results.append(CheckResult(f"{prefix}{key}", relative_error(analytic[key], num), tol))
+        return results
+    finally:
+        for k, v in node.named_buffers().items():
+            v[...] = saved_buffers[k]
+
+
 def check_layer(layer: L.Layer, x: np.ndarray, eps: float = DEFAULT_EPS,
                 tol: float = DEFAULT_TOL, name: str | None = None,
                 loss_weights: np.ndarray | None = None) -> list[CheckResult]:
-    """Compare analytic input/parameter gradients against central differences.
-
-    The scalar objective is sum(weights * forward(x)) with fixed random
-    weights, which exercises every output element.  Returns one result for
-    the input plus one per parameter.
-    """
-    name = name or layer.kind
-    x = x.astype(np.float64)
-    if loss_weights is None:
-        loss_weights = SeededRng(99, 7).uniform(-1.0, 1.0, layer.forward(x.copy()).shape)
-
-    def objective() -> float:
-        return float(np.sum(loss_weights * layer.forward(x.copy())))
-
-    results = []
-    # analytic pass
-    layer.zero_grads()
-    out = layer.forward(x.copy())
-    dx = layer.backward(loss_weights.astype(out.dtype))
-    analytic_params = {k: v.copy() for k, v in layer.grads.items()}
-
-    def f_of_x(xv: np.ndarray) -> float:
-        return float(np.sum(loss_weights * layer.forward(xv)))
-
-    num_dx = numerical_gradient(f_of_x, x, eps)
-    results.append(CheckResult(f"{name}.input", relative_error(dx, num_dx), tol))
-
-    for key, p in layer.params.items():
-        def f_of_p(pv: np.ndarray, key=key) -> float:
-            saved = layer.params[key]
-            layer.params[key] = pv
-            try:
-                return objective()
-            finally:
-                layer.params[key] = saved
-        num_dp = numerical_gradient(f_of_p, p.astype(np.float64), eps)
-        results.append(CheckResult(f"{name}.{key}", relative_error(analytic_params[key], num_dp), tol))
-    return results
+    """Check any node, leaf or composite, on ``layer.forward``: one result
+    for the input, then one per ``named_params()`` entry, named
+    ``<name or kind>.<key>``; ``loss_weights`` default to fixed random draws."""
+    return _check(layer, layer.forward, x, loss_weights, (99, 7), eps, tol,
+                  f"{name or layer.kind}.")
 
 
 def _layer_zoo(rng: SeededRng) -> list[tuple[L.Layer, tuple]]:
     """Small 64-bit instances of every layer kind, paired with input shapes."""
     f64 = np.float64
-    zoo = [
+    return [
         (L.Conv2d(2, 3, 3, stride=1, pad=1, bias=True, rng=rng, dtype=f64), (2, 2, 5, 5)),
         (L.Conv2d(3, 2, 3, stride=2, pad=1, bias=False, rng=rng, dtype=f64), (2, 3, 6, 6)),
         (L.Conv2d(3, 4, 1, stride=1, pad=0, bias=False, rng=rng, dtype=f64), (2, 3, 4, 4)),
@@ -116,7 +127,6 @@ def _layer_zoo(rng: SeededRng) -> list[tuple[L.Layer, tuple]]:
         (L.ReLU(), (2, 3, 4, 4)),
         (L.Softplus(), (3, 5)),
     ]
-    return zoo
 
 
 def check_all_layers(seed: int = 0, eps: float = DEFAULT_EPS,
@@ -133,41 +143,7 @@ def check_all_layers(seed: int = 0, eps: float = DEFAULT_EPS,
 
 def check_model(model, x: np.ndarray, eps: float = DEFAULT_EPS,
                 tol: float = DEFAULT_TOL) -> list[CheckResult]:
-    """Finite-difference check of a whole model's parameter gradients.
-
-    ``model`` must expose forward(x, training)->output, backward(grad),
-    named_params(), named_buffers(), and zero_grads(); the objective is a
-    fixed random weighting of the output so every score participates.
-    The training-mode forwards move batchnorm running statistics; every
-    buffer is written back to its value on entry before returning.
-    """
-    x = x.astype(np.float64)
-    saved_buffers = {k: v.copy() for k, v in model.named_buffers().items()}
-    try:
-        out0 = model.forward(x, training=True)[0]
-        weights = SeededRng(7, 11).uniform(-1.0, 1.0, out0.shape)
-
-        def objective() -> float:
-            out = model.forward(x, training=True)[0]
-            return float(np.sum(weights * out))
-
-        model.zero_grads()
-        model.forward(x, training=True)
-        model.backward(weights)
-        analytic = {k: v.copy() for k, v in model.named_grads().items()}
-
-        results = []
-        for key, p in model.named_params().items():
-            def f_of_p(pv: np.ndarray, key=key, p=p) -> float:
-                saved = p.copy()
-                p[...] = pv
-                try:
-                    return objective()
-                finally:
-                    p[...] = saved
-            num = numerical_gradient(f_of_p, p.astype(np.float64), eps)
-            results.append(CheckResult(key, relative_error(analytic[key], num), tol))
-        return results
-    finally:
-        for k, v in model.named_buffers().items():
-            v[...] = saved_buffers[k]
+    """Check a model on its training-mode aggregate output, weighted by
+    fixed random draws: results ``input`` and one per parameter name."""
+    return _check(model, lambda xv: model.forward(xv, training=True)[0], x,
+                  None, (7, 11), eps, tol, "")

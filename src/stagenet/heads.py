@@ -2,9 +2,11 @@
 
 A head turns one stage's feature map into a length-N score vector:
 3x3 conv to the target channel width (zero-padded, bias-free), global
-adaptive max pool to (1,1), batch normalization, a single linear layer,
-softplus (so raw scores stay positive), then a score normalizer.  The
-default normalizer is the L2 form; softmax is available for ablations.
+adaptive max pool to (1,1), batch normalization, a single linear layer
+(which flattens the pooled feature), softplus (so raw scores stay
+positive), then a score normalizer.  The default normalizer is the L2
+form; softmax is available for ablations.  A head is a plain chain of
+these children; it only checks its input, so shape errors name head t.
 
 A model with T stages carries exactly T heads, and the model's output is
 the plain sum of the per-head score vectors, entry by entry.
@@ -48,7 +50,7 @@ class ScoreNorm(Layer):
 
 
 class ClassifierHead(Layer):
-    """Downsample -> FC -> normalized score vector for one stage's feature."""
+    """conv -> pool -> bn -> fc -> softplus -> normalizer on stage t's feature."""
 
     def __init__(self, t: int, in_channels: int, target_channels: int,
                  n_classes: int, normalizer: str = "l2",
@@ -77,14 +79,7 @@ class ClassifierHead(Layer):
         if h_t.ndim != 4 or h_t.shape[1] != self.in_channels:
             raise ShapeError(
                 f"head {self.t}: expected (B,{self.in_channels},H,W), got {h_t.shape}")
-        z = self.bn(self.pool(self.conv(h_t)))
-        z = z.reshape(z.shape[0], self.target_channels)
-        return self.norm(self.act(self.fc(z)))
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        g = self.fc.backward(self.act.backward(self.norm.backward(grad_out)))
-        g = g.reshape(g.shape[0], self.target_channels, 1, 1)
-        return self.conv.backward(self.pool.backward(self.bn.backward(g)))
+        return super().forward(h_t)
 
 
 def aggregate_scores(per_head: list[np.ndarray]) -> np.ndarray:

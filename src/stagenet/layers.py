@@ -38,9 +38,12 @@ class Layer:
 
     A leaf fills ``params``/``grads`` with matching keys and overrides
     ``forward``/``backward``.  A composite names its sub-layers, in order
-    and including the parameter-free ones, in ``children()``; unless it
-    overrides them, its forward runs the children in that order and its
-    backward runs them reversed.  Composites keep the default ``kind``.
+    and including the parameter-free ones, in ``children()``; its forward
+    runs the children in that order and its backward runs them reversed.
+    Composites override forward/backward only where the graph branches
+    (``_ResidualUnit``, ``ConcatMergeBlock``, ``Model``), and forward only
+    to name themselves in shape errors (``SetModule``, ``ClassifierHead``);
+    they keep the default ``kind``.  Every backward returns dx.
     Parameters, gradients, buffers and the training flag are reached by
     one walk, ``modules()``, under qualified names such as
     ``set1.block0.conv0``.  A parent calls a child as ``child(x)``, which
@@ -246,11 +249,6 @@ class AdaptiveMaxPool(Layer):
 
     kind = "adaptive_maxpool"
 
-    def __init__(self, out_size=(1, 1)):
-        super().__init__()
-        if tuple(out_size) != (1, 1):
-            raise ContractError("only (1,1) adaptive pooling is supported")
-
     def forward(self, x: np.ndarray) -> np.ndarray:
         b, c, h, w = x.shape
         flat = x.reshape(b, c, h * w)
@@ -270,20 +268,19 @@ class AdaptiveMaxPool(Layer):
 class BatchNorm2d(Layer):
     """Per-channel batch normalization over (batch, height, width).
 
-    Train mode normalizes by batch statistics and updates running
-    statistics with the configured momentum; eval mode is a pure function
+    Train mode normalizes by batch statistics and moves the running
+    statistics toward them by ``MOMENTUM``; eval mode is a pure function
     of the running statistics.  Variance uses the 1/M convention both for
-    normalization and for the running buffer.
+    normalization and for the running buffer; ``EPS`` guards its root.
     """
 
     kind = "batchnorm2d"
+    EPS = 1e-5
+    MOMENTUM = 0.1
 
-    def __init__(self, channels: int, eps: float = 1e-5, momentum: float = 0.1,
-                 dtype=np.float32):
+    def __init__(self, channels: int, dtype=np.float32):
         super().__init__()
         self.channels = channels
-        self.eps = eps
-        self.momentum = momentum
         self.params["gamma"] = np.ones(channels, dtype=dtype)
         self.params["beta"] = np.zeros(channels, dtype=dtype)
         self.running_mean = np.zeros(channels, dtype=dtype)
@@ -302,13 +299,13 @@ class BatchNorm2d(Layer):
         if self.training:
             mean = x.mean(axis=(0, 2, 3))
             var = x.var(axis=(0, 2, 3))
-            m = self.momentum
+            m = self.MOMENTUM
             self.running_mean += m * (mean.astype(self.running_mean.dtype) - self.running_mean)
             self.running_var += m * (var.astype(self.running_var.dtype) - self.running_var)
         else:
             mean = self.running_mean
             var = self.running_var
-        invstd = 1.0 / np.sqrt(var + self.eps)
+        invstd = 1.0 / np.sqrt(var + self.EPS)
         xhat = (x - mean.reshape(1, c, 1, 1)) * invstd.reshape(1, c, 1, 1)
         self._cache = (xhat, invstd, b * h * w)
         return gamma * xhat + beta
@@ -331,7 +328,9 @@ class BatchNorm2d(Layer):
 
 
 class Linear(Layer):
-    """Affine map x @ W + b with W of shape (in_features, out_features)."""
+    """Affine map x @ W + b, W (in_features, out_features), on the input
+    flattened after the batch axis, (B, ...) -> (B, in_features); backward
+    returns dx in the input's shape."""
 
     kind = "linear"
 
@@ -352,20 +351,21 @@ class Linear(Layer):
         return flop_mode * n_out * self.in_features
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        if x.ndim != 2 or x.shape[1] != self.in_features:
-            raise ShapeError(f"linear: expected (B,{self.in_features}), got {x.shape}")
-        self._cache = x
-        out = x @ self.params["weight"]
+        if x.ndim < 2 or np.prod(x.shape[1:]) != self.in_features:
+            raise ShapeError(f"linear: expected {self.in_features} features, got {x.shape}")
+        flat = x.reshape(x.shape[0], self.in_features)
+        self._cache = (flat, x.shape)
+        out = flat @ self.params["weight"]
         if "bias" in self.params:
             out = out + self.params["bias"]
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        x = self._need_cache()
-        self.grads["weight"] += x.T @ grad_out
+        flat, x_shape = self._need_cache()
+        self.grads["weight"] += flat.T @ grad_out
         if "bias" in self.params:
             self.grads["bias"] += grad_out.sum(axis=0)
-        return grad_out @ self.params["weight"].T
+        return (grad_out @ self.params["weight"].T).reshape(x_shape)
 
 
 class ReLU(Layer):

@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import struct
 import time
 from dataclasses import asdict, dataclass, field
+from typing import BinaryIO
 
 import numpy as np
 
@@ -42,10 +44,6 @@ class TrainConfig:
     scheduler_threshold: float = 1e-4
     min_lr: float = 1e-6
     seed: int = 0
-    crop: bool = True
-    flip: bool = True
-    erase: bool = True
-    precision: str = "float32"
 
     def validate(self):
         if self.learning_rate <= 0 or self.min_lr <= 0:
@@ -58,8 +56,6 @@ class TrainConfig:
             raise ConfigError("epochs must be >= 0")
         if self.scheduler_patience < 1:
             raise ConfigError("patience must be >= 1")
-        if self.precision not in ("float32", "float64"):
-            raise ConfigError(f"unknown precision {self.precision!r}")
         return self
 
 
@@ -85,18 +81,6 @@ class RunMetrics:
         if row.split == "test" and row.accuracy > self.best_test_accuracy:
             self.best_test_accuracy = row.accuracy
             self.best_epoch = row.epoch
-
-    def test_accuracy_at(self, epoch: int) -> float:
-        for row in self.rows:
-            if row.split == "test" and row.epoch == epoch:
-                return row.accuracy
-        raise ContractError(f"no test row for epoch {epoch}")
-
-    def final_test_accuracy(self) -> float:
-        tests = [r for r in self.rows if r.split == "test"]
-        if not tests:
-            raise ContractError("no test rows recorded")
-        return tests[-1].accuracy
 
 
 CSV_HEADER = "# stagenet metrics schema v1\nepoch,split,loss,accuracy,lr,seconds\n"
@@ -300,7 +284,7 @@ _DTYPE_CODES = {"float32": 0, "float64": 1, "int64": 2}
 _CODE_DTYPES = {v: k for k, v in _DTYPE_CODES.items()}
 
 
-def _write_record(out: io.BytesIO, name: str, arr: np.ndarray):
+def _write_record(out: BinaryIO, name: str, arr: np.ndarray):
     nb = name.encode("utf-8")
     out.write(struct.pack("<H", len(nb)))
     out.write(nb)
@@ -356,15 +340,8 @@ def save_checkpoint(path: str, model: Model, optimizer: Adam,
                     epoch_next: int):
     """Little-endian binary: magic, version, config JSON, counters, then
     (name, dtype, shape, raw data) records for params, buffers and the
-    optimizer moments."""
-    out = io.BytesIO()
-    out.write(MAGIC)
-    out.write(struct.pack("<I", FORMAT_VERSION))
-    blob = json.dumps(asdict(cfg), sort_keys=True).encode("utf-8")
-    out.write(struct.pack("<Q", len(blob)))
-    out.write(blob)
-    out.write(struct.pack("<IQ", epoch_next, optimizer.t))
-    out.write(struct.pack("<ddI", scheduler.lr, scheduler.best, scheduler.bad_epochs))
+    optimizer moments.  Written to ``path + ".tmp"``, then renamed over
+    ``path``, so a failed save leaves the previous file intact."""
     records = []
     for name, arr in model.named_params().items():
         records.append((f"param:{name}", arr))
@@ -374,11 +351,26 @@ def save_checkpoint(path: str, model: Model, optimizer: Adam,
         records.append((f"adam_m:{name}", arr))
     for name, arr in optimizer.v.items():
         records.append((f"adam_v:{name}", arr))
-    out.write(struct.pack("<I", len(records)))
-    for name, arr in records:
-        _write_record(out, name, arr)
-    with open(path, "wb") as fh:
-        fh.write(out.getvalue())
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb") as out:
+            out.write(MAGIC)
+            out.write(struct.pack("<I", FORMAT_VERSION))
+            blob = json.dumps(asdict(cfg), sort_keys=True).encode("utf-8")
+            out.write(struct.pack("<Q", len(blob)))
+            out.write(blob)
+            out.write(struct.pack("<IQ", epoch_next, optimizer.t))
+            out.write(struct.pack("<ddI", scheduler.lr, scheduler.best, scheduler.bad_epochs))
+            out.write(struct.pack("<I", len(records)))
+            for name, arr in records:
+                _write_record(out, name, arr)
+            out.flush()
+            os.fsync(out.fileno())  # the data must be on disk before the rename
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def load_checkpoint(path: str) -> Checkpoint:
@@ -405,35 +397,35 @@ def load_checkpoint(path: str) -> Checkpoint:
                       scheduler_state=(lr, best, bad), tensors=tensors)
 
 
-def restore_model(ckpt: Checkpoint, model: Model) -> None:
-    """Copy checkpoint tensors into a built model.
-
-    The checkpoint's params and buffers must match the model's by name and
-    shape, none missing and none extra; nothing is copied unless all match.
-    """
-    targets = {f"param:{k}": v for k, v in model.named_params().items()}
-    targets.update({f"buffer:{k}": v for k, v in model.named_buffers().items()})
-    stored = {k: v for k, v in ckpt.tensors.items() if k.startswith(("param:", "buffer:"))}
+def _copy_exact(ckpt: Checkpoint, kinds: tuple, targets: dict) -> None:
+    """Copy the checkpoint tensors whose name prefix is in ``kinds`` into
+    ``targets`` in place.  Names and shapes must match exactly; all are
+    checked first, and a mismatch copies nothing and names the first bad key."""
+    stored = {k: v for k, v in ckpt.tensors.items() if k.partition(":")[0] in kinds}
     missing = [key for key in targets if key not in stored]
     if missing:
-        raise ShapeError(f"checkpoint lacks {len(missing)} model tensor(s), "
-                         f"first {missing[0]!r}")
+        raise ShapeError(f"checkpoint lacks {len(missing)} tensor(s), first {missing[0]!r}")
     for key, arr in stored.items():
         target = targets.get(key)
         if target is None:
-            raise ShapeError(f"checkpoint tensor {key!r} has no counterpart in model")
+            raise ShapeError(f"checkpoint tensor {key!r} has no counterpart")
         if target.shape != arr.shape:
             raise ShapeError(f"tensor {key!r}: checkpoint shape {arr.shape} "
-                             f"!= model shape {target.shape}")
+                             f"!= target shape {target.shape}")
     for key, arr in stored.items():
         targets[key][...] = arr.astype(targets[key].dtype)
 
 
+def restore_model(ckpt: Checkpoint, model: Model) -> None:
+    """Copy the checkpoint's params and buffers into a model (``_copy_exact``)."""
+    targets = {f"param:{k}": v for k, v in model.named_params().items()}
+    targets.update({f"buffer:{k}": v for k, v in model.named_buffers().items()})
+    _copy_exact(ckpt, ("param", "buffer"), targets)
+
+
 def restore_optimizer(ckpt: Checkpoint, optimizer: Adam) -> None:
+    """Copy the checkpoint's Adam moments (``_copy_exact``) and step count."""
+    targets = {f"adam_m:{k}": v for k, v in optimizer.m.items()}
+    targets.update({f"adam_v:{k}": v for k, v in optimizer.v.items()})
+    _copy_exact(ckpt, ("adam_m", "adam_v"), targets)
     optimizer.t = ckpt.adam_t
-    for key, arr in ckpt.tensors.items():
-        kind, _, name = key.partition(":")
-        if kind == "adam_m" and name in optimizer.m:
-            optimizer.m[name][...] = arr
-        elif kind == "adam_v" and name in optimizer.v:
-            optimizer.v[name][...] = arr

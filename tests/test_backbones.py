@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from stagenet import build, build_preset
-from stagenet.backbones import (BackboneSpec, BlockSpec, SetSpec, mini_cnn_spec,
-                                mini_resnet_spec, mini_vgg_spec, resnet18_spec,
-                                vgg16_spec)
+from stagenet.backbones import (BackboneSpec, BlockSpec, OriginalClassifier, SetSpec,
+                                mini_cnn_spec, mini_resnet_spec, mini_vgg_spec,
+                                resnet18_spec, vgg16_spec)
 from stagenet.errors import BuildError, ContractError, ShapeError
-from stagenet.gradcheck import check_model
+from stagenet.gradcheck import check_layer, check_model
 from stagenet.layers import Conv2d
 from stagenet.rng import SeededRng
 
@@ -284,10 +284,23 @@ class TestCheckModel:
         before = {k: v.copy() for k, v in model.named_buffers().items()}
         results = check_model(model, SeededRng(6).uniform(-1, 1, (3, 1, 6, 6)))
         assert results and all(r.passed for r in results), [r.line() for r in results]
+        assert [r.name for r in results].count("input") == 1
         after = model.named_buffers()
         assert before.keys() == after.keys()
         for k, v in before.items():
             assert v.tobytes() == after[k].tobytes(), k
+
+
+class TestOriginalClassifier:
+    def test_gradients_match_finite_differences(self):
+        clf = OriginalClassifier(5, 3, hidden=(7,), rng=SeededRng(8), dtype=np.float64)
+        x = SeededRng(9).uniform(-2, 2, (3, 5, 3, 4))
+        results = check_layer(clf, x)
+        assert [r.name for r in results] == [
+            "composite.input", "composite.fc0.weight", "composite.fc0.bias",
+            "composite.fc1.weight", "composite.fc1.bias"]
+        for res in results:
+            assert res.passed, res.line()
 
 
 class TestConcatMerge:

@@ -5,7 +5,7 @@ import pytest
 
 from stagenet import aggregate_scores, predict, softmax
 from stagenet.errors import ContractError, ShapeError
-from stagenet.gradcheck import numerical_gradient, relative_error
+from stagenet.gradcheck import check_layer
 from stagenet.heads import ClassifierHead
 from stagenet.rng import SeededRng
 
@@ -65,32 +65,10 @@ class TestHeadBackward:
         head = make_head(normalizer)
         x = SeededRng(6).uniform(-1, 1, (3, 3, 4, 4))
         weights = SeededRng(7).uniform(-1, 1, (3, 4))
-
-        def objective():
-            return float(np.sum(weights * head.forward(x.copy())))
-
-        head.zero_grads()
-        head.forward(x.copy())
-        dx = head.backward(weights)
-        analytic = {k: v.copy() for k, v in head.named_grads().items()}
-
-        def f_of_x(xv):
-            return float(np.sum(weights * head.forward(xv)))
-
-        num_dx = numerical_gradient(f_of_x, x, eps=1e-5)
-        assert relative_error(dx, num_dx) < 1e-4
-
-        params = head.named_params()
-        for key, p in params.items():
-            def f_of_p(pv, key=key, p=p):
-                saved = p.copy()
-                p[...] = pv
-                try:
-                    return objective()
-                finally:
-                    p[...] = saved
-            num = numerical_gradient(f_of_p, p.astype(np.float64), eps=1e-5)
-            assert relative_error(analytic[key], num) < 1e-4, key
+        results = check_layer(head, x, eps=1e-5, tol=1e-4, loss_weights=weights)
+        assert len(results) == 1 + len(head.named_params())
+        for res in results:
+            assert res.passed, res.line()
 
     def test_backward_before_forward_rejected(self):
         with pytest.raises(ContractError):

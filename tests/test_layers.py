@@ -205,11 +205,27 @@ class TestLinear:
         with pytest.raises(ShapeError):
             L.Linear(3, 2).forward(np.zeros((1, 4), dtype=np.float32))
 
+    def test_flattens_axes_after_the_batch(self):
+        lin = L.Linear(6, 2, bias=True, rng=SeededRng(27), dtype=np.float64)
+        x = SeededRng(28).uniform(-1, 1, (4, 3, 2, 1))
+        out = lin.forward(x)
+        assert out.tobytes() == lin.forward(x.reshape(4, 6)).tobytes()
+        lin.forward(x)
+        assert lin.backward(np.ones_like(out)).shape == x.shape
+
+    def test_flattened_width_mismatch_rejected(self):
+        with pytest.raises(ShapeError, match="6 features"):
+            L.Linear(6, 2).forward(np.zeros((1, 7, 1, 1), dtype=np.float32))
+
     def test_gradients_match_finite_differences(self):
         lin = L.Linear(5, 3, bias=True, rng=SeededRng(19), dtype=np.float64)
         x = SeededRng(20).uniform(-1, 1, (4, 5))
         for res in check_layer(lin, x, eps=1e-5, tol=1e-7):
             assert res.passed, res.line()
+
+    def test_gradient_check_needs_64_bit_params(self):
+        with pytest.raises(ContractError, match="float64"):
+            check_layer(L.Linear(5, 3), SeededRng(20).uniform(-1, 1, (4, 5)))
 
 
 class TestActivations:
