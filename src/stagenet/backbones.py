@@ -327,13 +327,12 @@ class Model(Layer):
     ``head<t>`` (``multi`` mode) or one ``classifier`` (``original``).
     """
 
-    def __init__(self, spec: BackboneSpec, sets: list[SetModule], n_classes: int,
-                 mode: str, heads: list[ClassifierHead] | None,
+    def __init__(self, spec: BackboneSpec, sets: list[SetModule], mode: str,
+                 heads: list[ClassifierHead] | None,
                  classifier: OriginalClassifier | None, dtype):
         super().__init__()
         self.spec = spec
         self.sets = sets
-        self.n_classes = n_classes
         self.mode = mode
         self.heads = heads
         self.classifier = classifier
@@ -405,8 +404,8 @@ class Model(Layer):
         leaf layer's output with its kind's ``Layer.cost`` and scales by the
         batch size.  A head's cost is attributed to the stage it taps.
         Leaves no cache behind: a ``backward`` after it raises.  The forward
-        uses the model's weights, so in ``multi`` mode non-finite weights
-        raise ``DomainError`` from the score normalizer.
+        runs on zeroed params and buffers, written back afterwards, so the
+        counts depend on shapes only, even when weights went non-finite.
         """
         if flop_mode not in (1, 2):
             raise ContractError("flop_mode is 1 (MAC=1) or 2 (MAC=2)")
@@ -419,11 +418,17 @@ class Model(Layer):
             n_out[layer] = out.size
 
         layers = [layer for _, layer in self.modules()]
+        state = [*self.named_params().values(), *self.named_buffers().values()]
+        saved = [a.copy() for a in state]
         for layer in layers:
             layer._observer = observe
         try:
+            for a in state:
+                a[...] = 0
             self.forward(np.zeros((1, c, h, w), dtype=self.dtype), training=False)
         finally:
+            for a, v in zip(state, saved):
+                a[...] = v
             for layer in layers:
                 del layer._observer
                 layer._cache = None
@@ -480,9 +485,9 @@ def build(spec: BackboneSpec, mode: str = "original", n_classes: int = 10,
         heads = [ClassifierHead(t, s.out_channels, target, n_classes,
                                 normalizer=normalizer, rng=rng, dtype=dtype)
                  for t, s in enumerate(sets, start=1)]
-        return Model(spec, sets, n_classes, "multi", heads, None, dtype)
+        return Model(spec, sets, "multi", heads, None, dtype)
     classifier = OriginalClassifier(target, n_classes, hidden=hidden, rng=rng, dtype=dtype)
-    return Model(spec, sets, n_classes, "original", None, classifier, dtype)
+    return Model(spec, sets, "original", None, classifier, dtype)
 
 
 def _plain(ch: int, n: int, bn: bool) -> BlockSpec:

@@ -61,7 +61,6 @@ class ClassifierHead(Layer):
         self.t = t
         self.in_channels = in_channels
         self.target_channels = target_channels
-        self.n_classes = n_classes
         self.norm = ScoreNorm(normalizer)
         rng = rng if rng is not None else SeededRng(0)
         self.conv = Conv2d(in_channels, target_channels, 3, stride=1, pad=1,

@@ -6,6 +6,12 @@ cross-correlation convention (no kernel flip).  Parameters are plain
 numpy arrays owned by the layer and updated in place by the optimizer;
 activations passed between layers are read-only.
 
+Convolution stays in NCHW throughout: im2col copies each sample's windows
+into a (C*k*k, Ho*Wo) matrix, forward and both backward products are one
+GEMM per sample, and col2im adds the input gradient back by k*k strided
+slices.  The im2col matrix is recomputed in backward, not cached (see
+``Conv2d``).
+
 Weight init is fan-in-scaled uniform (bound sqrt(6/fan_in)) for conv and
 linear; batchnorm starts at gamma=1, beta=0.
 """
@@ -131,6 +137,16 @@ class Conv2d(Layer):
 
     Output spatial extent is floor((H + 2*pad - k)/stride) + 1; pad 1 with
     stride 1 and k=3 keeps the feature size fixed.
+
+    Computed as one GEMM per sample in NCHW, so neither side needs a layout
+    transpose.  im2col copies the padded input's windows into ``cols`` of
+    shape (B, C*k*k, Ho*Wo), rows in the weight's (C, k, k) order; forward
+    is W (Co, C*k*k) @ cols.  Backward recomputes ``cols`` from the cached
+    padded input, accumulates dW = sum_b g_b @ cols_b^T (g = grad_out as
+    (B, Co, Ho*Wo)), frees it, forms dcols = W^T @ g and adds it back into
+    the padded dx by k*k strided slices (col2im).  ``cols`` is not cached:
+    over mini_resnet multi's convs at batch 100 it would hold 98 MiB, where
+    the cached padded inputs hold 24 MiB.
     """
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int = 3,
@@ -169,40 +185,42 @@ class Conv2d(Layer):
         p = self.pad
         return np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
 
+    def _im2col(self, xp: np.ndarray, ho: int, wo: int) -> np.ndarray:
+        b, c = xp.shape[:2]
+        k, s = self.kernel_size, self.stride
+        win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::s, ::s]
+        cols = np.ascontiguousarray(win.transpose(0, 1, 4, 5, 2, 3))
+        return cols.reshape(b, c * k * k, ho * wo)
+
     def forward(self, x: np.ndarray) -> np.ndarray:
         b, c, h, w = x.shape
         if c != self.in_channels:
             raise ShapeError(f"{self.kind}: expected {self.in_channels} channels, got {c}")
         ho, wo = self.out_hw(h, w)
-        k, s = self.kernel_size, self.stride
         xp = self._pad(x)
-        win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
-        win = win[:, :, ::s, ::s]
-        cols = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(b * ho * wo, c * k * k)
         wmat = self.params["weight"].reshape(self.out_channels, -1)
-        out = cols @ wmat.T
+        out = np.matmul(wmat, self._im2col(xp, ho, wo))
         if "bias" in self.params:
-            out += self.params["bias"]
-        out = np.ascontiguousarray(out.reshape(b, ho, wo, self.out_channels).transpose(0, 3, 1, 2))
-        self._cache = (x.shape, xp, ho, wo)
-        return out
+            out += self.params["bias"][:, None]
+        self._cache = (xp, ho, wo)
+        return out.reshape(b, self.out_channels, ho, wo)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        x_shape, xp, ho, wo = self._need_cache()
+        xp, ho, wo = self._need_cache()
+        b, c = xp.shape[:2]
         k, s, p = self.kernel_size, self.stride, self.pad
         w = self.params["weight"]
-        dw = self.grads["weight"]
-        dxp = np.zeros_like(xp)
-        # Accumulate per kernel position: equal work to the forward pass,
-        # no scatter needed because each (ki,kj) hits a strided slice.
-        for ki in range(k):
-            for kj in range(k):
-                xs = xp[:, :, ki:ki + s * ho:s, kj:kj + s * wo:s]
-                dw[:, :, ki, kj] += np.tensordot(grad_out, xs, axes=([0, 2, 3], [0, 2, 3]))
-                contrib = np.tensordot(grad_out, w[:, :, ki, kj], axes=([1], [0]))
-                dxp[:, :, ki:ki + s * ho:s, kj:kj + s * wo:s] += contrib.transpose(0, 3, 1, 2)
+        g = grad_out.reshape(b, self.out_channels, ho * wo)
+        cols = self._im2col(xp, ho, wo)
+        self.grads["weight"] += np.matmul(g, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
+        del cols
         if "bias" in self.params:
             self.grads["bias"] += grad_out.sum(axis=(0, 2, 3))
+        dcols = np.matmul(w.reshape(self.out_channels, -1).T, g).reshape(b, c, k, k, ho, wo)
+        dxp = np.zeros_like(xp)
+        for ki in range(k):
+            for kj in range(k):
+                dxp[:, :, ki:ki + s * ho:s, kj:kj + s * wo:s] += dcols[:, :, ki, kj]
         if p:
             return np.ascontiguousarray(dxp[:, :, p:-p, p:-p])
         return dxp

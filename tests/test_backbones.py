@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from stagenet import build, build_preset
-from stagenet.backbones import (BackboneSpec, BlockSpec, OriginalClassifier, SetSpec,
-                                mini_cnn_spec, mini_resnet_spec, mini_vgg_spec,
-                                resnet18_spec, vgg16_spec)
+from stagenet.backbones import BackboneSpec, BlockSpec, OriginalClassifier, SetSpec
 from stagenet.errors import BuildError, ContractError, ShapeError
 from stagenet.gradcheck import check_layer, check_model
 from stagenet.layers import Conv2d
 from stagenet.rng import SeededRng
+from stagenet.scorenorm import batch_cross_entropy
 
 N = 10
 
@@ -79,6 +78,22 @@ class TestForward:
         a, _ = model.forward(x, training=False)
         b, _ = model.forward(x, training=False)
         assert a.tobytes() == b.tobytes()
+
+    def test_training_step_is_bitwise_deterministic(self):
+        x = SeededRng(1).uniform(0, 1, (3, 3, 16, 16), dtype=np.float32)
+        labels = np.array([0, 3, 1])
+        runs = []
+        for _ in range(2):
+            model = build_preset("mini_resnet", "multi", n_classes=4, seed=5)
+            out, _ = model.forward(x, training=True)
+            _, grad = batch_cross_entropy(out, labels)
+            model.zero_grads()
+            model.backward(grad)
+            runs.append({"output": out, **model.named_grads(), **model.named_buffers()})
+        a, b = runs
+        assert a.keys() == b.keys()
+        for k in a:
+            assert np.array_equal(a[k], b[k]), k
 
     def test_aggregate_equals_manual_head_sum(self):
         model = build_preset("mini_vgg", "multi", n_classes=5, dtype=np.float64)
@@ -272,6 +287,17 @@ class TestCostRule:
             assert np.array_equal(v, buffers[k]), k
         with pytest.raises(ContractError):
             model.backward(np.ones_like(out))
+
+    @pytest.mark.parametrize("mode", ["original", "multi"])
+    def test_counts_a_model_whose_weights_went_non_finite(self, mode):
+        model = build_preset("mini_cnn", mode, n_classes=N)
+        expected = model.count_stats((2, 3, 16, 16))
+        conv_layers(model)[0][1].params["weight"][0, 0, 0, 0] = np.nan
+        state = {**model.named_params(), **model.named_buffers()}
+        before = {k: v.tobytes() for k, v in state.items()}
+        assert model.count_stats((2, 3, 16, 16)) == expected
+        for k, v in state.items():
+            assert v.tobytes() == before[k], k
 
 
 class TestCheckModel:

@@ -107,6 +107,21 @@ class TestConvBackward:
         for res in check_layer(conv, x, eps=1e-5, tol=1e-6):
             assert res.passed, res.line()
 
+    @pytest.mark.parametrize("bias", [False, True])
+    @pytest.mark.parametrize("pad", [0, 1])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_gradients_match_finite_differences_over_grid(self, k, stride, pad, bias):
+        # odd, non-square input: at stride 2 the windows stop short of the
+        # padded extent on some axes, so the col2im slices must too
+        conv = L.Conv2d(3, 4, k, stride=stride, pad=pad, bias=bias,
+                        rng=SeededRng(12), dtype=np.float64)
+        x = SeededRng(13).uniform(-1, 1, (2, 3, 7, 6))
+        results = check_layer(conv, x, eps=1e-5, tol=1e-6)
+        assert [r.name for r in results] == [f"{conv.kind}.{key}" for key in ("input", *conv.params)]
+        for res in results:
+            assert res.passed, res.line()
+
 
 class TestPooling:
     def test_adaptive_pool_takes_global_max(self):
