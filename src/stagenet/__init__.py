@@ -18,10 +18,9 @@ from .errors import (BuildError, ConfigError, ContractError, DataError,
                      StagenetError)
 from .heads import ClassifierHead, aggregate_scores, predict
 from .rng import SeededRng
-from .scorenorm import (convergence_condition, cross_entropy,
-                        cross_entropy_grad_logits, jacobian_l2_score,
-                        jacobian_softmax, l2_score, l2score_partial,
-                        lower_bound_ok, softmax, softmax_partial)
+from .scorenorm import (convergence_condition, jacobian_l2_score, jacobian_softmax,
+                        l2_score, l2score_partial, lower_bound_ok, softmax,
+                        softmax_partial)
 
 __version__ = "0.1.0"
 
@@ -31,9 +30,8 @@ __all__ = [
     "BuildError", "ConfigError", "ContractError", "DataError", "DomainError",
     "FormatError", "NumericsError", "ShapeError", "StagenetError",
     "ClassifierHead", "aggregate_scores", "predict",
-    "convergence_condition", "cross_entropy", "cross_entropy_grad_logits",
-    "jacobian_l2_score", "jacobian_softmax", "l2_score", "l2score_partial",
-    "lower_bound_ok", "softmax", "softmax_partial",
+    "convergence_condition", "jacobian_l2_score", "jacobian_softmax",
+    "l2_score", "l2score_partial", "lower_bound_ok", "softmax", "softmax_partial",
     "SeededRng",
     "__version__",
 ]

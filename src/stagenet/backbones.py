@@ -150,11 +150,11 @@ class _ResidualUnit(Layer):
         return self.relu2(main + skip)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        grad = self.relu2.backward(grad)
-        gmain = self.conv2.backward(self.bn2.backward(grad))
-        gmain = self.conv1.backward(self.bn1.backward(self.relu1.backward(gmain)))
+        grad = self.relu2.backprop(grad)
+        gmain = self.conv2.backprop(self.bn2.backprop(grad))
+        gmain = self.conv1.backprop(self.bn1.backprop(self.relu1.backprop(gmain)))
         if self.proj is not None:
-            gskip = self.proj.backward(self.proj_bn.backward(grad))
+            gskip = self.proj.backprop(self.proj_bn.backprop(grad))
         else:
             gskip = grad
         return gmain + gskip
@@ -230,7 +230,7 @@ class ConcatMergeBlock(Layer):
     def backward(self, grad: np.ndarray) -> np.ndarray:
         gx = grad[:, :self.in_channels]
         gy = grad[:, self.in_channels:]
-        return np.ascontiguousarray(gx) + self.body.backward(np.ascontiguousarray(gy))
+        return np.ascontiguousarray(gx) + self.body.backprop(np.ascontiguousarray(gy))
 
 
 _BLOCK_BUILDERS = {
@@ -337,7 +337,6 @@ class Model(Layer):
         self.heads = heads
         self.classifier = classifier
         self.dtype = dtype
-        self._taps: list[np.ndarray] | None = None
 
     @property
     def n_sets(self) -> int:
@@ -362,7 +361,6 @@ class Model(Layer):
         for s in self.sets:
             h = s(h)
             taps.append(h)
-        self._taps = taps
         if self.mode == "multi":
             per_head = [head(t) for head, t in zip(self.heads, taps)]
             return aggregate_scores(per_head), per_head
@@ -371,31 +369,19 @@ class Model(Layer):
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         """Backpropagate from the model output gradient into all parameters;
         returns the gradient of the input, in the model's dtype."""
-        if self._taps is None:
-            raise ContractError("backward called before forward")
         grad_out = np.asarray(grad_out, dtype=self.dtype)
         if self.mode == "multi":
             # the aggregate is a plain sum, so each head sees the same gradient
-            tap_grads = [head.backward(grad_out) for head in self.heads]
+            tap_grads = [head.backprop(grad_out) for head in self.heads]
         else:
-            tap_grads = [None] * (self.n_sets - 1) + [self.classifier.backward(grad_out)]
+            tap_grads = [None] * (self.n_sets - 1) + [self.classifier.backprop(grad_out)]
         grad = None
         for t in range(self.n_sets - 1, -1, -1):
             g = tap_grads[t]
             if grad is not None:
                 g = grad if g is None else g + grad
-            grad = self.sets[t].backward(g)
-        self._taps = None
+            grad = self.sets[t].backprop(g)
         return grad
-
-    def find_nonfinite_layer(self) -> str | None:
-        """Name of the first stage/head whose cached output went non-finite."""
-        if self._taps is None:
-            return None
-        for i, t in enumerate(self._taps, start=1):
-            if not np.all(np.isfinite(t)):
-                return f"set{i}"
-        return None
 
     def count_stats(self, input_shape, flop_mode: int = 1) -> ModelStats:
         """Exact trainable-scalar count and forward FLOPs at ``input_shape``.
@@ -403,9 +389,8 @@ class Model(Layer):
         Runs one eval-mode forward of a zero image at batch 1, prices every
         leaf layer's output with its kind's ``Layer.cost`` and scales by the
         batch size.  A head's cost is attributed to the stage it taps.
-        Leaves no cache behind: a ``backward`` after it raises.  The forward
-        runs on zeroed params and buffers, written back afterwards, so the
-        counts depend on shapes only, even when weights went non-finite.
+        Leaves no cache behind: a ``backward`` after it raises.  Only output
+        sizes are read, so the counts hold even when weights went non-finite.
         """
         if flop_mode not in (1, 2):
             raise ContractError("flop_mode is 1 (MAC=1) or 2 (MAC=2)")
@@ -414,25 +399,15 @@ class Model(Layer):
             raise ShapeError(f"input channels {c} != spec {self.spec.in_channels}")
         n_out = {}
 
-        def observe(layer: Layer, out: np.ndarray):
+        def observe(name: str, layer: Layer, direction: str, out: np.ndarray):
             n_out[layer] = out.size
 
-        layers = [layer for _, layer in self.modules()]
-        state = [*self.named_params().values(), *self.named_buffers().values()]
-        saved = [a.copy() for a in state]
-        for layer in layers:
-            layer._observer = observe
         try:
-            for a in state:
-                a[...] = 0
-            self.forward(np.zeros((1, c, h, w), dtype=self.dtype), training=False)
+            with self.hooked(observe), np.errstate(all="ignore"):
+                self.forward(np.zeros((1, c, h, w), dtype=self.dtype), training=False)
         finally:
-            for a, v in zip(state, saved):
-                a[...] = v
-            for layer in layers:
-                del layer._observer
+            for _, layer in self.modules():
                 layer._cache = None
-            self._taps = None
 
         def cost(part: Layer) -> tuple[int, int]:
             params = sum(p.size for p in part.named_params().values())

@@ -157,10 +157,6 @@ class AugmentPolicy:
         if np.any(self.std <= 0):
             raise ContractError("normalization std must be positive")
 
-    @staticmethod
-    def disabled() -> "AugmentPolicy":
-        return AugmentPolicy(crop_pad=0, flip_prob=0.0, erase_prob=0.0)
-
 
 def channel_stats(images: np.ndarray):
     """Per-channel mean/std over a training split (std floored at 1e-6)."""

@@ -38,4 +38,7 @@ class ConfigError(StagenetError):
 
 
 class NumericsError(StagenetError):
-    """Training produced non-finite values; message names the source layer."""
+    """Training or evaluation produced non-finite values.  The message names
+    the batch and where its values first went non-finite: a layer by its
+    qualified name and direction, e.g. ``head2.fc (fwd)`` or
+    ``head2.bn (bwd)``, or the loss when every layer output was finite."""

@@ -23,14 +23,15 @@ from .rng import SeededRng
 
 # normalizer name -> (layer kind, forward, vector-Jacobian product)
 NORMALIZERS = {
-    "l2": ("l2_score", scorenorm.l2_score, scorenorm.l2_score_vjp),
-    "softmax": ("softmax", scorenorm.softmax, scorenorm.softmax_vjp),
+    "l2": ("l2_score", scorenorm.l2_score_unchecked, scorenorm.l2_score_vjp),
+    "softmax": ("softmax", scorenorm.softmax_unchecked, scorenorm.softmax_vjp),
 }
 
 
 class ScoreNorm(Layer):
     """Row-wise score normalizer: the L2 score (square root of softmax) or
-    softmax itself."""
+    softmax itself.  Unchecked like every layer: the training loop names
+    the first non-finite output (``NumericsError``)."""
 
     def __init__(self, normalizer: str = "l2"):
         super().__init__()

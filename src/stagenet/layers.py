@@ -18,6 +18,9 @@ linear; batchnorm starts at gamma=1, beta=0.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from functools import partial
+
 import numpy as np
 
 from .errors import ContractError, ShapeError
@@ -52,13 +55,15 @@ class Layer:
     they keep the default ``kind``.  Every backward returns dx.
     Parameters, gradients, buffers and the training flag are reached by
     one walk, ``modules()``, under qualified names such as
-    ``set1.block0.conv0``.  A parent calls a child as ``child(x)``, which
-    reports the output to ``_observer`` when one is set (``count_stats``
-    sets one for a single forward).
+    ``set1.block0.conv0``.  A parent calls a child as ``child(x)`` and
+    ``child.backprop(g)``, which run ``forward``/``backward`` and then, in
+    ``with root.hooked(fn):``, report ``fn(name, layer, "fwd", output)`` or
+    ``fn(name, layer, "bwd", dx)`` in execution order.  Training is not
+    re-entrant: one forward's caches serve one backward, which takes them.
     """
 
     kind = "composite"
-    _observer = None
+    _hook = None
 
     def __init__(self):
         self.params: dict[str, np.ndarray] = {}
@@ -71,9 +76,15 @@ class Layer:
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         out = self.forward(x)
-        if self._observer is not None:
-            self._observer(self, out)
+        if self._hook is not None:
+            self._hook("fwd", out)
         return out
+
+    def backprop(self, grad_out: np.ndarray) -> np.ndarray:
+        dx = self.backward(grad_out)
+        if self._hook is not None:
+            self._hook("bwd", dx)
+        return dx
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         for _, child in self.children():
@@ -82,8 +93,23 @@ class Layer:
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         for _, child in reversed(self.children()):
-            grad_out = child.backward(grad_out)
+            grad_out = child.backprop(grad_out)
         return grad_out
+
+    @contextmanager
+    def hooked(self, fn):
+        """Report every call of this layer and its descendants to ``fn``
+        while the block runs; one hook per tree at a time."""
+        named = self.modules()
+        if any(layer._hook is not None for _, layer in named):
+            raise ContractError("a hook is already set on this tree")
+        for name, layer in named:
+            layer._hook = partial(fn, name, layer)
+        try:
+            yield
+        finally:
+            for _, layer in named:
+                del layer._hook
 
     def cost(self, n_out: int, flop_mode: int) -> int:
         """Forward FLOPs for ``n_out`` output elements: one op each.  Conv
@@ -92,9 +118,11 @@ class Layer:
         return n_out
 
     def _need_cache(self):
-        if self._cache is None:
-            raise ContractError(f"{self.kind}: backward called before forward")
-        return self._cache
+        """Take the cache of the last forward; backward calls it once."""
+        cache, self._cache = self._cache, None
+        if cache is None:
+            raise ContractError(f"{self.kind}: backward called without a new forward")
+        return cache
 
     def buffers(self) -> dict[str, np.ndarray]:
         """Non-trainable state that checkpoints must persist."""

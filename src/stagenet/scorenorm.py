@@ -6,7 +6,9 @@ Two normalizers map a per-category score vector to comparable magnitudes:
 * ``l2_score`` -- L2 normalization of sqrt(exp(x)), which simplifies to
   L_i = sqrt(S_i), so the squared outputs sum to one.
 
-Both are computed with max-subtraction so large scores cannot overflow.
+Both are computed with max-subtraction so large scores cannot overflow,
+and both reject non-finite scores with ``DomainError``; the ``*_unchecked``
+kernels that ``heads.ScoreNorm`` runs skip that check.
 The ``*_partial`` functions are the off-diagonal partial derivatives in
 their published closed form (callers that backpropagate should use the
 full Jacobians instead).  ``convergence_condition`` tests the regime in
@@ -32,17 +34,26 @@ def _check_scores(x) -> np.ndarray:
     return x
 
 
-def softmax(x, axis: int = -1) -> np.ndarray:
-    """Stabilized softmax along ``axis``; rows sum to 1, entries in (0,1)."""
-    x = _check_scores(x)
+def softmax_unchecked(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    """``softmax`` without its input checks; non-finite in, non-finite out."""
     shifted = x - np.max(x, axis=axis, keepdims=True)
     e = np.exp(shifted)
     return e / np.sum(e, axis=axis, keepdims=True)
 
 
+def l2_score_unchecked(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    """``l2_score`` without the input checks."""
+    return np.sqrt(softmax_unchecked(x, axis=axis))
+
+
+def softmax(x, axis: int = -1) -> np.ndarray:
+    """Stabilized softmax along ``axis``; rows sum to 1, entries in (0,1)."""
+    return softmax_unchecked(_check_scores(x), axis=axis)
+
+
 def l2_score(x, axis: int = -1) -> np.ndarray:
     """Square root of softmax; the squared entries sum to 1 along ``axis``."""
-    return np.sqrt(softmax(x, axis=axis))
+    return l2_score_unchecked(_check_scores(x), axis=axis)
 
 
 def softmax_partial(x, i: int, j: int) -> float:
@@ -112,24 +123,6 @@ def lower_bound_ok(x, n_categories: int | None = None) -> bool:
     xa = _check_scores(np.asarray(x, dtype=np.float64))
     n = int(n_categories) if n_categories is not None else xa.shape[-1]
     return bool(np.min(xa) > np.log(n / 4.0))
-
-
-def cross_entropy(probabilities, label: int) -> float:
-    """Negative log-probability of ``label`` under a probability vector."""
-    p = np.asarray(probabilities, dtype=np.float64)
-    if not 0 <= int(label) < p.shape[-1]:
-        raise ContractError(f"label {label} out of range for {p.shape[-1]} categories")
-    return float(-np.log(p[int(label)]))
-
-
-def cross_entropy_grad_logits(probabilities, label: int) -> np.ndarray:
-    """Gradient of the loss w.r.t. pre-softmax logits: p - onehot(label)."""
-    p = np.asarray(probabilities, dtype=np.float64)
-    if not 0 <= int(label) < p.shape[-1]:
-        raise ContractError(f"label {label} out of range for {p.shape[-1]} categories")
-    g = p.copy()
-    g[int(label)] -= 1.0
-    return g
 
 
 def batch_cross_entropy(logits: np.ndarray, labels: np.ndarray):

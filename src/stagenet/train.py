@@ -9,7 +9,6 @@ continues bit-exactly.
 
 from __future__ import annotations
 
-import io
 import json
 import os
 import struct
@@ -81,37 +80,6 @@ class RunMetrics:
         if row.split == "test" and row.accuracy > self.best_test_accuracy:
             self.best_test_accuracy = row.accuracy
             self.best_epoch = row.epoch
-
-
-CSV_HEADER = "# stagenet metrics schema v1\nepoch,split,loss,accuracy,lr,seconds\n"
-
-
-def metrics_to_csv(metrics: RunMetrics, record_timing: bool = True) -> str:
-    out = io.StringIO()
-    out.write(CSV_HEADER)
-    for r in metrics.rows:
-        secs = r.seconds if record_timing else 0.0
-        out.write(f"{r.epoch},{r.split},{r.loss:.9f},{r.accuracy:.6f},{r.lr:.9g},{secs:.3f}\n")
-    return out.getvalue()
-
-
-def parse_metrics_csv(text: str) -> RunMetrics:
-    metrics = RunMetrics()
-    lines = text.splitlines()
-    for ln, line in enumerate(lines, start=1):
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("epoch,"):
-            continue
-        parts = line.split(",")
-        if len(parts) != 6:
-            raise FormatError(f"line {ln}: expected 6 fields, got {len(parts)}")
-        try:
-            metrics.add(EpochRow(int(parts[0]), parts[1], float(parts[2]),
-                                 float(parts[3]), float(parts[4]), float(parts[5])))
-        except ValueError as exc:
-            raise FormatError(f"line {ln}: {exc}") from exc
-    return metrics
 
 
 class Adam(object):
@@ -189,9 +157,41 @@ def _batch_slices(m: int, batch_size: int):
     return out
 
 
+def _all_finite(arrays) -> bool:
+    return all(np.isfinite(a).all() for a in arrays)
+
+
+def _raise_at_first_nonfinite(model: Model, x: np.ndarray, labels: np.ndarray,
+                              training: bool, where: str):
+    """Re-run one batch under a hook and raise ``NumericsError`` naming
+    the first layer, in execution order, whose output (fwd) or whose dx or
+    parameter gradients (bwd) are non-finite; or the loss, when every
+    layer stayed finite.  The batch runs forward, loss and, if
+    ``training``, backward, which moves batchnorm running statistics again."""
+
+    def check(name, layer, direction, out):
+        if not _all_finite([out, *layer.grads.values()] if direction == "bwd" else [out]):
+            raise NumericsError(f"{where}: first non-finite values at {name} ({direction})")
+
+    with model.hooked(check), np.errstate(all="ignore"):
+        out, _ = model.forward(x, training=training)
+        loss, grad = scorenorm.batch_cross_entropy(out, labels)
+        if not (np.isfinite(loss) and _all_finite([grad])):
+            raise NumericsError(f"{where}: non-finite loss, every layer output finite")
+        if training:
+            model.zero_grads()
+            model.backward(grad)
+    raise NumericsError(f"{where}: non-finite values that did not recur on a re-run")
+
+
 def train_epoch(model: Model, optimizer: Adam, train_set: Dataset,
                 cfg: TrainConfig, policy: AugmentPolicy, epoch: int):
-    """One pass over shuffled mini-batches; returns (loss, accuracy)."""
+    """One pass over shuffled mini-batches; returns (mean loss, accuracy).
+
+    Before each optimizer step the loss and every parameter gradient must
+    be finite.  Otherwise the step is skipped, so no parameter changes,
+    and ``NumericsError`` names where the batch first went non-finite
+    (``head2.fc (fwd)``, ``head2.bn (bwd)`` or the loss)."""
     m = len(train_set)
     if m == 0:
         raise ContractError("training dataset is empty")
@@ -200,22 +200,22 @@ def train_epoch(model: Model, optimizer: Adam, train_set: Dataset,
     total_correct = 0
     total_seen = 0
     augmenting = policy.crop_pad > 0 or policy.flip_prob > 0 or policy.erase_prob > 0
-    for start, stop in _batch_slices(m, cfg.batch_size):
+    for i, (start, stop) in enumerate(_batch_slices(m, cfg.batch_size)):
         idx = perm[start:stop]
         if augmenting:
             x = augment_batch(train_set, idx, policy, cfg.seed, epoch)
         else:
             x = normalize_batch(train_set.images[idx], policy)
+        x = x.astype(model.dtype)
         labels = train_set.labels[idx]
-        out, _ = model.forward(x.astype(model.dtype), training=True)
+        out, _ = model.forward(x, training=True)
         loss, grad = scorenorm.batch_cross_entropy(out, labels)
-        if not np.isfinite(loss):
-            layer = model.find_nonfinite_layer() or "model output"
-            raise NumericsError(
-                f"non-finite loss in epoch {epoch}; first offending layer: {layer}")
         model.zero_grads()
         model.backward(grad)
-        optimizer.step(model.named_params(), model.named_grads())
+        grads = model.named_grads()
+        if not (np.isfinite(loss) and _all_finite(grads.values())):
+            _raise_at_first_nonfinite(model, x, labels, True, f"epoch {epoch}, batch {i}")
+        optimizer.step(model.named_params(), grads)
         n = stop - start
         total_loss += loss * n
         total_correct += int(np.sum(predict(out) == labels))
@@ -225,17 +225,21 @@ def train_epoch(model: Model, optimizer: Adam, train_set: Dataset,
 
 def evaluate(model: Model, dataset: Dataset, policy: AugmentPolicy,
              batch_size: int = 200):
-    """Eval-mode loss and accuracy; applies normalization only."""
+    """Eval-mode loss and accuracy; applies normalization only.  A batch
+    whose loss is non-finite raises ``NumericsError`` naming the first
+    non-finite layer output (``head2.fc (fwd)``) or the loss."""
     if len(dataset) == 0:
         raise ContractError("evaluation dataset is empty")
     total_loss = 0.0
     correct = 0
-    for start in range(0, len(dataset), batch_size):
+    for i, start in enumerate(range(0, len(dataset), batch_size)):
         stop = min(start + batch_size, len(dataset))
-        x = normalize_batch(dataset.images[start:stop], policy)
+        x = normalize_batch(dataset.images[start:stop], policy).astype(model.dtype)
         labels = dataset.labels[start:stop]
-        out, _ = model.forward(x.astype(model.dtype), training=False)
+        out, _ = model.forward(x, training=False)
         loss, _ = scorenorm.batch_cross_entropy(out, labels)
+        if not np.isfinite(loss):
+            _raise_at_first_nonfinite(model, x, labels, False, f"evaluation, batch {i}")
         total_loss += loss * (stop - start)
         correct += int(np.sum(predict(out) == labels))
     return total_loss / len(dataset), correct / len(dataset)

@@ -19,6 +19,37 @@ def conv_layers(model):
             for name, layer in s.modules(f"set{s.index}") if isinstance(layer, Conv2d)]
 
 
+def one_training_step(model, x, labels):
+    out, _ = model.forward(x, training=True)
+    _, grad = batch_cross_entropy(out, labels)
+    model.zero_grads()
+    model.backward(grad)
+    return out, grad
+
+
+def densey_spec():
+    """A one-stage backbone with the blocks no preset uses."""
+    return BackboneSpec("densey", (
+        SetSpec((
+            BlockSpec("plain_conv", ((3, 8),), 1),
+            BlockSpec("concat_merge", ((1, 16), (3, 4)), 1),
+            BlockSpec("downsample_transition", ((1, 6),), 1),
+        ), "pool"),
+    ))
+
+
+def stage_outputs(model, x):
+    """Output shape of every stage in one eval forward, read by a hook."""
+    shapes = {}
+
+    def keep(name, layer, direction, out):
+        shapes[name] = out.shape
+
+    with model.hooked(keep):
+        model.forward(x)
+    return [shapes[f"set{s.index}"] for s in model.sets]
+
+
 class TestStructure:
     def test_vgg16_has_thirteen_convs(self):
         model = build_preset("vgg16", "original", n_classes=N)
@@ -65,10 +96,9 @@ class TestStructure:
 class TestForward:
     def test_resnet18_stage_shapes_on_cifar_input(self):
         model = build_preset("resnet18", "multi", n_classes=N)
-        x = np.zeros((1, 3, 32, 32), dtype=np.float32)
-        model.forward(x)
-        spatial = [t.shape[2] for t in model._taps]
-        channels = [t.shape[1] for t in model._taps]
+        shapes = stage_outputs(model, np.zeros((1, 3, 32, 32), dtype=np.float32))
+        spatial = [s[2] for s in shapes]
+        channels = [s[1] for s in shapes]
         assert spatial == [32, 32, 16, 8, 4]
         assert channels == [64, 64, 128, 256, 512]
 
@@ -85,10 +115,7 @@ class TestForward:
         runs = []
         for _ in range(2):
             model = build_preset("mini_resnet", "multi", n_classes=4, seed=5)
-            out, _ = model.forward(x, training=True)
-            _, grad = batch_cross_entropy(out, labels)
-            model.zero_grads()
-            model.backward(grad)
+            out, _ = one_training_step(model, x, labels)
             runs.append({"output": out, **model.named_grads(), **model.named_buffers()})
         a, b = runs
         assert a.keys() == b.keys()
@@ -132,9 +159,69 @@ class TestForward:
         }
         for preset, (hw, expected) in plans.items():
             model = build_preset(preset, "multi", n_classes=3)
-            model.forward(np.zeros((1, 3, hw, hw), dtype=np.float32))
-            assert [t.shape[2] for t in model._taps] == expected, preset
-            assert [t.shape[3] for t in model._taps] == expected, preset
+            shapes = stage_outputs(model, np.zeros((1, 3, hw, hw), dtype=np.float32))
+            assert [s[2] for s in shapes] == expected, preset
+            assert [s[3] for s in shapes] == expected, preset
+
+
+class TestHook:
+    def test_reports_each_call_in_execution_order(self):
+        model = build_preset("mini_cnn", "original", n_classes=N)
+        x = SeededRng(4).uniform(0, 1, (2, 3, 8, 8), dtype=np.float32)
+        calls = []
+        with model.hooked(lambda name, layer, d, out: calls.append((d, name, out))):
+            out, _ = one_training_step(model, x, np.array([1, 2]))
+        convs = ["set1.block0.conv0", "set1.block0.relu0", "set1.block0.conv1",
+                 "set1.block0.relu1"]
+        fwd = [*convs, "set1.block0", "set1.pool", "set1",
+               "classifier.pool", "classifier.fc0", "classifier"]
+        bwd = ["classifier.fc0", "classifier.pool", "classifier",
+               "set1.pool", *reversed(convs), "set1.block0", "set1"]
+        assert [(d, n) for d, n, _ in calls] == [("fwd", n) for n in fwd] + [("bwd", n) for n in bwd]
+        assert calls[len(fwd) - 1][2] is out
+        assert calls[-1][2].shape == x.shape
+
+    @pytest.mark.parametrize("preset", ["mini_resnet", "mini_vgg", "densey"])
+    def test_every_node_reports_once_each_way(self, preset):
+        model = (build(densey_spec(), "multi", n_classes=4) if preset == "densey"
+                 else build_preset(preset, "multi", n_classes=4))
+        x = SeededRng(4).uniform(0, 1, (2, 3, 16, 16), dtype=np.float32)
+        calls = []
+        with model.hooked(lambda name, layer, d, out: calls.append((d, name, layer))):
+            one_training_step(model, x, np.array([1, 2]))
+        nodes = [(name, layer) for name, layer in model.modules() if name]
+        for d in ("fwd", "bwd"):
+            assert sorted((n, id(l)) for dd, n, l in calls if dd == d) == \
+                sorted((n, id(l)) for n, l in nodes), d
+
+    def test_unset_on_exit_and_not_nested(self):
+        model = build_preset("mini_cnn", "multi", n_classes=N)
+        x = np.zeros((1, 3, 8, 8), dtype=np.float32)
+
+        def fail(name, layer, direction, out):
+            raise RuntimeError(name)
+
+        with pytest.raises(RuntimeError, match="set1.block0.conv0"):
+            with model.hooked(fail):
+                model.forward(x)
+        calls = []
+        with model.hooked(lambda *args: calls.append(args)):
+            with pytest.raises(ContractError, match="hook"):
+                with model.heads[0].hooked(fail):
+                    pass
+        model.forward(x)
+        assert calls == []
+
+    @pytest.mark.parametrize("mode", ["original", "multi"])
+    def test_second_backward_without_forward_rejected(self, mode):
+        model = build_preset("mini_resnet", mode, n_classes=4)
+        x = SeededRng(4).uniform(0, 1, (2, 3, 16, 16), dtype=np.float32)
+        _, grad = one_training_step(model, x, np.array([1, 2]))
+        grads = {k: v.copy() for k, v in model.named_grads().items()}
+        with pytest.raises(ContractError):
+            model.backward(grad)
+        for k, v in model.named_grads().items():
+            assert np.array_equal(v, grads[k]), k
 
 
 def vgg16_conv_params():
@@ -331,14 +418,7 @@ class TestOriginalClassifier:
 
 class TestConcatMerge:
     def test_concat_block_builds_and_backprops(self):
-        spec = BackboneSpec("densey", (
-            SetSpec((
-                BlockSpec("plain_conv", ((3, 8),), 1),
-                BlockSpec("concat_merge", ((1, 16), (3, 4)), 1),
-                BlockSpec("downsample_transition", ((1, 6),), 1),
-            ), "pool"),
-        ))
-        model = build(spec, "multi", n_classes=3, dtype=np.float64)
+        model = build(densey_spec(), "multi", n_classes=3, dtype=np.float64)
         assert model.sets[0].out_channels == 6
         x = SeededRng(4).uniform(0, 1, (2, 3, 8, 8))
         out, _ = model.forward(x, training=True)

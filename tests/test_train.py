@@ -1,18 +1,150 @@
-"""Checkpoint files: a model and its optimizer restore only from a
-complete, exact file, and a failed save keeps the previous one."""
+"""Training loop, plateau scheduler and checkpoint files.
+
+Non-finite values stop training with a ``NumericsError`` that names where
+they first appeared; the scheduler follows its patience rule; a run resumed
+from a checkpoint continues bit-exactly; and a model and its optimizer
+restore only from a complete, exact file, while a failed save keeps the
+previous one."""
 
 import os
-from dataclasses import dataclass
+import re
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
 
+import stagenet.scorenorm
 import stagenet.train
 from stagenet import build_preset
-from stagenet.errors import FormatError, ShapeError
+from stagenet.data import AugmentPolicy, make_synthetic
+from stagenet.errors import FormatError, NumericsError, ShapeError
 from stagenet.rng import SeededRng
-from stagenet.train import (Adam, PlateauScheduler, TrainConfig, load_checkpoint,
-                            restore_model, restore_optimizer, save_checkpoint)
+from stagenet.train import (Adam, PlateauScheduler, TrainConfig, evaluate, load_checkpoint,
+                            restore_model, restore_optimizer, run_training, save_checkpoint,
+                            train_epoch)
+
+POLICY = AugmentPolicy()
+
+
+def tiny_data(n, seed):
+    return make_synthetic("striped_patterns", n, 4, 8, seed=seed)
+
+
+class TestNumerics:
+    @pytest.mark.parametrize("mode,param,layer", [
+        ("multi", "head2.fc.weight", "head2.fc"),
+        ("original", "classifier.fc0.weight", "classifier.fc0")])
+    @pytest.mark.parametrize("loop", ["train_epoch", "evaluate"])
+    def test_nan_weight_names_its_layer(self, mode, param, layer, loop):
+        model = build_preset("mini_resnet", mode, n_classes=4)
+        model.named_params()[param][0, 0] = np.nan
+        params = {k: v.copy() for k, v in model.named_params().items()}
+        with pytest.raises(NumericsError, match=re.escape(f"{layer} (fwd)")):
+            if loop == "train_epoch":
+                train_epoch(model, Adam(model.named_params(), 1e-3), tiny_data(8, 1),
+                            TrainConfig(batch_size=4), POLICY, 1)
+            else:
+                evaluate(model, tiny_data(8, 1), POLICY, batch_size=4)
+        for k, v in model.named_params().items():
+            assert v.tobytes() == params[k].tobytes(), k
+
+    def test_nan_from_a_backward_names_that_layer(self, monkeypatch):
+        model = build_preset("mini_resnet", "multi", n_classes=4)
+        bn = model.heads[1].bn
+        backward = bn.backward
+        monkeypatch.setattr(bn, "backward", lambda g: backward(g) * np.nan)
+        params = {k: v.copy() for k, v in model.named_params().items()}
+        with pytest.raises(NumericsError, match=r"head2\.bn \(bwd\)"):
+            train_epoch(model, Adam(model.named_params(), 1e-3), tiny_data(8, 1),
+                        TrainConfig(batch_size=4), POLICY, 1)
+        for k, v in model.named_params().items():
+            assert v.tobytes() == params[k].tobytes(), k
+
+    @pytest.mark.parametrize("mode", ["original", "multi"])
+    def test_nan_loss_with_finite_layers_raises(self, monkeypatch, mode):
+        loss_fn = stagenet.scorenorm.batch_cross_entropy
+
+        def nan_loss(logits, labels):
+            return float("nan"), loss_fn(logits, labels)[1]
+
+        monkeypatch.setattr(stagenet.scorenorm, "batch_cross_entropy", nan_loss)
+        model = build_preset("mini_cnn", mode, n_classes=4)
+        with pytest.raises(NumericsError, match="epoch 3, batch 0: non-finite loss"):
+            train_epoch(model, Adam(model.named_params(), 1e-3), tiny_data(8, 1),
+                        TrainConfig(batch_size=4), POLICY, 3)
+
+
+class TestPlateauScheduler:
+    def test_lr_drops_on_the_epoch_after_patience_runs_out(self):
+        sched = PlateauScheduler(1.0, factor=0.5, patience=2, threshold=0.0)
+        assert [sched.update(1.0) for _ in range(4)] == [1.0, 1.0, 1.0, 0.5]
+
+    def test_gain_below_threshold_is_not_an_improvement(self):
+        sched = PlateauScheduler(1.0, factor=0.5, patience=1, threshold=0.1)
+        sched.update(1.0)
+        sched.update(0.95)
+        assert (sched.best, sched.bad_epochs) == (1.0, 1)
+        sched.update(0.85)
+        assert (sched.best, sched.bad_epochs) == (0.85, 0)
+
+    def test_bad_epochs_reset_after_a_drop(self):
+        sched = PlateauScheduler(1.0, factor=0.5, patience=1, threshold=0.0)
+        lrs = [sched.update(1.0) for _ in range(5)]
+        assert lrs == [1.0, 1.0, 0.5, 0.5, 0.25]
+
+    def test_lr_never_goes_below_min_lr(self):
+        sched = PlateauScheduler(1.0, factor=0.1, patience=1, threshold=0.0, min_lr=0.05)
+        lrs = [sched.update(1.0) for _ in range(9)]
+        assert lrs == pytest.approx([1.0, 1.0, 0.1, 0.1, 0.05, 0.05, 0.05, 0.05, 0.05])
+
+    def test_state_round_trips(self):
+        sched = PlateauScheduler(1.0, factor=0.5, patience=2, threshold=0.01)
+        for loss in (3.0, 2.0, 2.0, 1.995):
+            sched.update(loss)
+        twin = PlateauScheduler(1.0, factor=0.5, patience=2, threshold=0.01)
+        twin.load_state(sched.state())
+        assert twin.state() == sched.state() == (1.0, 2.0, 2)
+        losses = (1.99, 1.5, 1.5, 1.5, 1.5)
+        assert [twin.update(x) for x in losses] == [sched.update(x) for x in losses]
+
+
+def test_resume_from_checkpoint_is_bit_exact(tmp_path):
+    train_set, test_set = tiny_data(12, 1), tiny_data(6, 2)
+    # a threshold no epoch beats makes the lr drop between the halves
+    cfg = TrainConfig(batch_size=4, epochs=4, seed=7, scheduler_patience=1,
+                      scheduler_threshold=10.0)
+    straight = build_preset("mini_resnet", "multi", n_classes=4, seed=3)
+    whole = run_training(straight, train_set, test_set, cfg, POLICY).rows
+
+    path = str(tmp_path / "run.ckpt")
+    first = run_training(build_preset("mini_resnet", "multi", n_classes=4, seed=3),
+                         train_set, test_set, replace(cfg, epochs=2), POLICY,
+                         checkpoint_path=path).rows
+    ckpt = load_checkpoint(path)
+    resumed = build_preset("mini_resnet", "multi", n_classes=4, seed=9)
+    restore_model(ckpt, resumed)
+    optimizer = Adam(resumed.named_params(), cfg.learning_rate, cfg.beta1, cfg.beta2,
+                     cfg.adam_eps)
+    restore_optimizer(ckpt, optimizer)
+    scheduler = PlateauScheduler(cfg.learning_rate, cfg.scheduler_factor,
+                                 cfg.scheduler_patience, cfg.scheduler_threshold, cfg.min_lr)
+    scheduler.load_state(ckpt.scheduler_state)
+    second = run_training(resumed, train_set, test_set, cfg, POLICY,
+                          start_epoch=ckpt.epoch_next, optimizer=optimizer,
+                          scheduler=scheduler).rows
+
+    def key(rows):
+        return [(r.epoch, r.split, np.float64(r.loss).tobytes(), r.accuracy, r.lr)
+                for r in rows]
+
+    assert key(first + second) == key(whole)
+    assert whole[-1].lr < whole[0].lr
+    for named in ("named_params", "named_buffers"):
+        expected = getattr(straight, named)()
+        got = getattr(resumed, named)()
+        assert got.keys() == expected.keys()
+        for k, v in got.items():
+            assert v.tobytes() == expected[k].tobytes(), k
 
 
 def saved_checkpoint(tmp_path, mode):
