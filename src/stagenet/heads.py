@@ -5,8 +5,11 @@ A head turns one stage's feature map into a length-N score vector:
 adaptive max pool to (1,1), batch normalization, a single linear layer
 (which flattens the pooled feature), softplus (so raw scores stay
 positive), then a score normalizer.  The default normalizer is the L2
-form; softmax is available for ablations.  A head is a plain chain of
-these children; it only checks its input, so shape errors name head t.
+form; softmax is available for ablations.  A head's forward is the plain
+chain of these children; it only checks its input, so shape errors name
+head t.  Its backward knows that the global max pool passes gradient to
+one conv output per (sample, channel), so the conv backpropagates only
+at the pool's argmax (``Conv2d.backward_at``).
 
 A model with T stages carries exactly T heads, and the model's output is
 the plain sum of the per-head score vectors, entry by entry.
@@ -51,7 +54,12 @@ class ScoreNorm(Layer):
 
 
 class ClassifierHead(Layer):
-    """conv -> pool -> bn -> fc -> softplus -> normalizer on stage t's feature."""
+    """conv -> pool -> bn -> fc -> softplus -> normalizer on stage t's feature.
+
+    Forward runs the chain.  Backward runs it reversed down to the pool,
+    whose dense dx is computed and reported to a hook but not used: the
+    conv takes the pooled gradient at the pool's argmax positions instead.
+    """
 
     def __init__(self, t: int, in_channels: int, target_channels: int,
                  n_classes: int, normalizer: str = "l2",
@@ -80,6 +88,13 @@ class ClassifierHead(Layer):
             raise ShapeError(
                 f"head {self.t}: expected (B,{self.in_channels},H,W), got {h_t.shape}")
         return super().forward(h_t)
+
+    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+        for child in (self.norm, self.act, self.fc, self.bn):
+            grad_out = child.backprop(grad_out)
+        pos = self.pool.argmax()
+        self.pool.backprop(grad_out)
+        return self.conv.reported("bwd", self.conv.backward_at(pos, grad_out.reshape(pos.shape)))
 
 
 def aggregate_scores(per_head: list[np.ndarray]) -> np.ndarray:

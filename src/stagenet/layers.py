@@ -10,7 +10,9 @@ Convolution stays in NCHW throughout: im2col copies each sample's windows
 into a (C*k*k, Ho*Wo) matrix, forward and both backward products are one
 GEMM per sample, and col2im adds the input gradient back by k*k strided
 slices.  The im2col matrix is recomputed in backward, not cached (see
-``Conv2d``).
+``Conv2d``).  A gradient that is non-zero at one output position per
+(sample, channel), as behind a global max pool, takes
+``Conv2d.backward_at`` instead: it reads only those windows.
 
 Weight init is fan-in-scaled uniform (bound sqrt(6/fan_in)) for conv and
 linear; batchnorm starts at gamma=1, beta=0.
@@ -50,9 +52,11 @@ class Layer:
     and including the parameter-free ones, in ``children()``; its forward
     runs the children in that order and its backward runs them reversed.
     Composites override forward/backward only where the graph branches
-    (``_ResidualUnit``, ``ConcatMergeBlock``, ``Model``), and forward only
-    to name themselves in shape errors (``SetModule``, ``ClassifierHead``);
-    they keep the default ``kind``.  Every backward returns dx.
+    (``_ResidualUnit``, ``ConcatMergeBlock``, ``Model``) or where a child's
+    gradient is known to be sparse (``ClassifierHead``'s backward), and
+    forward only to name themselves in shape errors (``SetModule``,
+    ``ClassifierHead``); they keep the default ``kind``.  Every backward
+    returns dx.
     Parameters, gradients, buffers and the training flag are reached by
     one walk, ``modules()``, under qualified names such as
     ``set1.block0.conv0``.  A parent calls a child as ``child(x)`` and
@@ -75,16 +79,18 @@ class Layer:
         return []
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        out = self.forward(x)
-        if self._hook is not None:
-            self._hook("fwd", out)
-        return out
+        return self.reported("fwd", self.forward(x))
 
     def backprop(self, grad_out: np.ndarray) -> np.ndarray:
-        dx = self.backward(grad_out)
+        return self.reported("bwd", self.backward(grad_out))
+
+    def reported(self, direction: str, out: np.ndarray) -> np.ndarray:
+        """Report ``out`` to the hook, if one is set, and return it; a
+        parent that runs a child other than by ``child(x)`` or
+        ``child.backprop(g)`` reports the result with this."""
         if self._hook is not None:
-            self._hook("bwd", dx)
-        return dx
+            self._hook(direction, out)
+        return out
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         for _, child in self.children():
@@ -175,6 +181,10 @@ class Conv2d(Layer):
     the padded dx by k*k strided slices (col2im).  ``cols`` is not cached:
     over mini_resnet multi's convs at batch 100 it would hold 98 MiB, where
     the cached padded inputs hold 24 MiB.
+
+    ``backward_at`` is the backward for a gradient that is zero except at
+    one output position per (sample, output channel): it gathers just those
+    B*Co windows of the padded input, with no im2col and no GEMM.
     """
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int = 3,
@@ -236,7 +246,7 @@ class Conv2d(Layer):
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         xp, ho, wo = self._need_cache()
         b, c = xp.shape[:2]
-        k, s, p = self.kernel_size, self.stride, self.pad
+        k, s = self.kernel_size, self.stride
         w = self.params["weight"]
         g = grad_out.reshape(b, self.out_channels, ho * wo)
         cols = self._im2col(xp, ho, wo)
@@ -249,9 +259,38 @@ class Conv2d(Layer):
         for ki in range(k):
             for kj in range(k):
                 dxp[:, :, ki:ki + s * ho:s, kj:kj + s * wo:s] += dcols[:, :, ki, kj]
-        if p:
-            return np.ascontiguousarray(dxp[:, :, p:-p, p:-p])
-        return dxp
+        return self._crop(dxp)
+
+    def backward_at(self, pos: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """Backward for a grad_out that is ``g[b, co]`` at flat output index
+        ``pos[b, co]`` (into Ho*Wo) and zero elsewhere; both are (B, Co).
+
+        dW[co] = sum_b g[b, co] * window(b, pos[b, co]) of the padded input,
+        and dx adds g[b, co] * W[co] into the same windows.  A (B, Co, C*k*k)
+        table of flat indices into the padded input addresses every window
+        element in the weight's (C, k, k) order; ``np.add.at`` sums where
+        windows overlap."""
+        xp, ho, wo = self._need_cache()
+        b, c, hp, wp = xp.shape
+        k, s = self.kernel_size, self.stride
+        w = self.params["weight"]
+        i, j = np.divmod(pos, wo)
+        corner = np.arange(b)[:, None] * (c * hp * wp) + i * (s * wp) + j * s
+        offset = (np.arange(c)[:, None, None] * (hp * wp)
+                  + np.arange(k)[:, None] * wp + np.arange(k)).reshape(-1)
+        flat = corner[:, :, None] + offset
+        windows = xp.reshape(-1).take(flat)
+        self.grads["weight"] += np.einsum("bo,bok->ok", g, windows).reshape(w.shape)
+        del windows
+        if "bias" in self.params:
+            self.grads["bias"] += g.sum(axis=0)
+        dxp = np.zeros(xp.size, dtype=xp.dtype)
+        np.add.at(dxp, flat.reshape(-1), (g[:, :, None] * w.reshape(self.out_channels, -1)).reshape(-1))
+        return self._crop(dxp.reshape(xp.shape))
+
+    def _crop(self, dxp: np.ndarray) -> np.ndarray:
+        p = self.pad
+        return np.ascontiguousarray(dxp[:, :, p:-p, p:-p]) if p else dxp
 
 
 class MaxPool2x2(Layer):
@@ -303,6 +342,13 @@ class AdaptiveMaxPool(Layer):
         self._cache = (x.shape, idx)
         return np.ascontiguousarray(out.reshape(b, c, 1, 1))
 
+    def argmax(self) -> np.ndarray:
+        """(B, C) flat H*W index of each channel's max in the last forward,
+        left cached for ``backward``."""
+        if self._cache is None:
+            raise ContractError(f"{self.kind}: no forward to read the argmax of")
+        return self._cache[1]
+
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         x_shape, idx = self._need_cache()
         b, c, h, w = x_shape
@@ -318,6 +364,12 @@ class BatchNorm2d(Layer):
     statistics toward them by ``MOMENTUM``; eval mode is a pure function
     of the running statistics.  Variance uses the 1/M convention both for
     normalization and for the running buffer; ``EPS`` guards its root.
+
+    Each per-channel reduction (the mean, the centred second moment,
+    dbeta, dgamma) views its operands as (B, C, H*W) rows and sums the
+    contiguous last axis first; a sum of products goes through ``einsum``,
+    which forms no temporary.  Train-mode dx reuses dbeta and dgamma as the
+    two sums it needs.
     """
 
     kind = "batchnorm2d"
@@ -342,35 +394,42 @@ class BatchNorm2d(Layer):
             raise ShapeError(f"batchnorm2d: expected {self.channels} channels, got {c}")
         gamma = self.params["gamma"].reshape(1, c, 1, 1)
         beta = self.params["beta"].reshape(1, c, 1, 1)
+        m = b * h * w
         if self.training:
-            mean = x.mean(axis=(0, 2, 3))
-            var = x.var(axis=(0, 2, 3))
-            m = self.MOMENTUM
-            self.running_mean += m * (mean.astype(self.running_mean.dtype) - self.running_mean)
-            self.running_var += m * (var.astype(self.running_var.dtype) - self.running_var)
+            rows = x.reshape(b, c, h * w)
+            mean = rows.sum(axis=2).sum(axis=0) / m
+            xc = rows - mean[:, None]
+            var = np.einsum("bcl,bcl->c", xc, xc) / m
+            mo = self.MOMENTUM
+            self.running_mean += mo * (mean.astype(self.running_mean.dtype) - self.running_mean)
+            self.running_var += mo * (var.astype(self.running_var.dtype) - self.running_var)
+            invstd = 1.0 / np.sqrt(var + self.EPS)
+            xc *= invstd[:, None]
+            xhat = xc.reshape(x.shape)
         else:
-            mean = self.running_mean
-            var = self.running_var
-        invstd = 1.0 / np.sqrt(var + self.EPS)
-        xhat = (x - mean.reshape(1, c, 1, 1)) * invstd.reshape(1, c, 1, 1)
-        self._cache = (xhat, invstd, b * h * w)
+            invstd = 1.0 / np.sqrt(self.running_var + self.EPS)
+            xhat = (x - self.running_mean.reshape(1, c, 1, 1)) * invstd.reshape(1, c, 1, 1)
+        self._cache = (xhat, invstd, m)
         return gamma * xhat + beta
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         xhat, invstd, m = self._need_cache()
-        c = self.channels
-        gamma = self.params["gamma"].reshape(1, c, 1, 1)
-        dbeta = grad_out.sum(axis=(0, 2, 3))
-        dgamma = (grad_out * xhat).sum(axis=(0, 2, 3))
+        b, c = grad_out.shape[:2]
+        g = grad_out.reshape(b, c, -1)
+        xh = xhat.reshape(b, c, -1)
+        dbeta = g.sum(axis=2).sum(axis=0)
+        dgamma = np.einsum("bcl,bcl->c", g, xh)
         self.grads["beta"] += dbeta
         self.grads["gamma"] += dgamma
+        gamma = self.params["gamma"]
         if not self.training:
-            return grad_out * gamma * invstd.reshape(1, c, 1, 1)
-        g = grad_out * gamma
-        sum_g = g.sum(axis=(0, 2, 3), keepdims=True)
-        sum_gx = (g * xhat).sum(axis=(0, 2, 3), keepdims=True)
-        dx = (invstd.reshape(1, c, 1, 1) / m) * (m * g - sum_g - xhat * sum_gx)
-        return dx.astype(grad_out.dtype)
+            return grad_out * gamma.reshape(1, c, 1, 1) * invstd.reshape(1, c, 1, 1)
+        # gamma*invstd * (g - mean(g) - xhat*mean(g*xhat)); the means are dbeta/m, dgamma/m
+        dx = xh * (dgamma / m)[:, None]
+        np.subtract(g, dx, out=dx)
+        dx -= (dbeta / m)[:, None]
+        dx *= (gamma * invstd)[:, None]
+        return dx.reshape(grad_out.shape).astype(grad_out.dtype, copy=False)
 
 
 class Linear(Layer):

@@ -96,18 +96,30 @@ class Adam(object):
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
 
     def step(self, params: dict, grads: dict):
-        self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
-        for k, p in params.items():
-            g = grads[k]
-            if g.shape != p.shape:
-                raise ShapeError(f"{k}: grad shape {g.shape} != param shape {p.shape}")
-            m = self.m[k]
-            v = self.v[k]
-            m += (1.0 - self.beta1) * (g - m)
-            v += (1.0 - self.beta2) * (g * g - v)
-            p -= (self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)).astype(p.dtype)
+        """Update every param in place.  The new moments and updates are all
+        computed first: if any is non-finite (a finite grad above ~1.8e19
+        squares to inf in float32), ``NumericsError`` names the first such
+        param, and no param, moment or ``t`` has changed."""
+        t = self.t + 1
+        bc1 = 1.0 - self.beta1 ** t
+        bc2 = 1.0 - self.beta2 ** t
+        staged = []
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k, p in params.items():
+                g = grads[k]
+                if g.shape != p.shape:
+                    raise ShapeError(f"{k}: grad shape {g.shape} != param shape {p.shape}")
+                m = self.m[k] + (1.0 - self.beta1) * (g - self.m[k])
+                v = self.v[k] + (1.0 - self.beta2) * (g * g - self.v[k])
+                update = (self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)).astype(p.dtype)
+                if not _all_finite([v, update]):  # a non-finite m makes the update so
+                    raise NumericsError(f"Adam step {t}: non-finite moment or update for {k}")
+                staged.append((k, p, m, v, update))
+        for k, p, m, v, update in staged:
+            self.m[k] = m
+            self.v[k] = v
+            p -= update
+        self.t = t
 
 
 class PlateauScheduler:
@@ -191,7 +203,9 @@ def train_epoch(model: Model, optimizer: Adam, train_set: Dataset,
     Before each optimizer step the loss and every parameter gradient must
     be finite.  Otherwise the step is skipped, so no parameter changes,
     and ``NumericsError`` names where the batch first went non-finite
-    (``head2.fc (fwd)``, ``head2.bn (bwd)`` or the loss)."""
+    (``head2.fc (fwd)``, ``head2.bn (bwd)`` or the loss).  A step that
+    would make a moment or a parameter non-finite raises ``Adam.step``'s
+    error, prefixed with the epoch and batch, and changes nothing."""
     m = len(train_set)
     if m == 0:
         raise ContractError("training dataset is empty")
@@ -215,7 +229,10 @@ def train_epoch(model: Model, optimizer: Adam, train_set: Dataset,
         grads = model.named_grads()
         if not (np.isfinite(loss) and _all_finite(grads.values())):
             _raise_at_first_nonfinite(model, x, labels, True, f"epoch {epoch}, batch {i}")
-        optimizer.step(model.named_params(), grads)
+        try:
+            optimizer.step(model.named_params(), grads)
+        except NumericsError as err:
+            raise NumericsError(f"epoch {epoch}, batch {i}: {err}") from err
         n = stop - start
         total_loss += loss * n
         total_correct += int(np.sum(predict(out) == labels))

@@ -75,6 +75,50 @@ class TestHeadBackward:
             make_head().backward(np.zeros((1, 4)))
 
 
+def argmax_and_dense_backward(head, x, weights):
+    """The head's backward, then the dense ``conv.backward(pool.backward(g))``
+    replayed on the same forward caches; g is what the head's bn returned.
+    Returns (dx, conv weight grad) of each."""
+    head.forward(x)
+    caches = head.conv._cache, head.pool._cache
+    seen = {}
+    with head.hooked(lambda name, layer, d, out: seen.setdefault((name, d), out)):
+        head.zero_grads()
+        dx = head.backward(weights)
+    dw = head.conv.grads["weight"].copy()
+    head.conv._cache, head.pool._cache = caches
+    head.zero_grads()
+    dense_dx = head.conv.backward(head.pool.backward(seen["bn", "bwd"]))
+    return (dx, dw), (dense_dx, head.conv.grads["weight"])
+
+
+class TestArgmaxBackward:
+    """The head's conv backprops only at the pool's argmax; it must agree
+    with the dense conv backward of the pool's dense dx."""
+
+    @pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-12), (np.float32, 1e-6)])
+    @pytest.mark.parametrize("normalizer", ["l2", "softmax"])
+    @pytest.mark.parametrize("case", ["random", "constant", "1x1"])
+    def test_matches_dense_conv_backward(self, case, normalizer, dtype, tol):
+        head = make_head(normalizer, dtype=dtype, in_ch=5, target=7)
+        if case == "random":
+            x = SeededRng(12).uniform(-1, 1, (4, 5, 6, 7))
+        elif case == "constant":
+            x = np.full((3, 5, 6, 6), 0.5)
+        else:
+            x = SeededRng(13).uniform(-1, 1, (2, 5, 1, 1))
+        x = x.astype(dtype)
+        if case == "constant":
+            # interior outputs are equal, so ties at the max are routed to the lowest index
+            y = head.conv.forward(x)
+            assert ((y == y.max(axis=(2, 3), keepdims=True)).sum(axis=(2, 3)) > 1).any()
+        weights = SeededRng(14).uniform(-1, 1, (x.shape[0], 4)).astype(dtype)
+        new, dense = argmax_and_dense_backward(head, x, weights)
+        for a, b in zip(new, dense):
+            assert a.dtype == b.dtype == dtype
+            assert np.max(np.abs(a - b)) <= tol * np.max(np.abs(b))
+
+
 class TestAggregation:
     def test_single_head_aggregate_is_identity(self):
         c = SeededRng(8).uniform(0, 1, (3, 4))

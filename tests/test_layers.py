@@ -122,6 +122,28 @@ class TestConvBackward:
         for res in results:
             assert res.passed, res.line()
 
+    @pytest.mark.parametrize("bias", [False, True])
+    @pytest.mark.parametrize("pad", [0, 1])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_backward_at_equals_dense_backward_of_its_sparse_grad(self, k, stride, pad, bias):
+        conv = L.Conv2d(3, 4, k, stride=stride, pad=pad, bias=bias,
+                        rng=SeededRng(12), dtype=np.float64)
+        x = SeededRng(13).uniform(-1, 1, (2, 3, 7, 6))
+        y = conv.forward(x)
+        cache = conv._cache
+        pos = SeededRng(14).integers(0, y.shape[2] * y.shape[3], (2, 4))
+        g = SeededRng(15).uniform(-1, 1, (2, 4))
+        dx = conv.backward_at(pos, g)
+        sparse = {key: v.copy() for key, v in conv.grads.items()}
+        dense_g = np.zeros((2, 4, y.shape[2] * y.shape[3]))
+        np.put_along_axis(dense_g, pos[..., None], g[..., None], axis=-1)
+        conv._cache = cache
+        conv.zero_grads()
+        np.testing.assert_allclose(dx, conv.backward(dense_g.reshape(y.shape)), rtol=0, atol=1e-14)
+        for key, v in conv.grads.items():
+            np.testing.assert_allclose(sparse[key], v, rtol=0, atol=1e-14)
+
 
 class TestPooling:
     def test_adaptive_pool_takes_global_max(self):

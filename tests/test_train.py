@@ -60,6 +60,23 @@ class TestNumerics:
         for k, v in model.named_params().items():
             assert v.tobytes() == params[k].tobytes(), k
 
+    def test_adam_overflow_raises_before_any_write(self):
+        # the grads stay finite, but above ~1.8e19 their squares overflow float32
+        model = build_preset("mini_resnet", "multi", n_classes=4)
+        model.named_params()["head3.fc.weight"][...] = 1e30
+        optimizer = Adam(model.named_params(), 1e-3)
+
+        def state():
+            arrays = {**model.named_params(), **{f"m:{k}": v for k, v in optimizer.m.items()},
+                      **{f"v:{k}": v for k, v in optimizer.v.items()}}
+            return {k: v.tobytes() for k, v in arrays.items()}
+
+        before = state()
+        with pytest.raises(NumericsError, match=r"epoch 1, batch 0: Adam step 1: .* for \S+\.weight"):
+            train_epoch(model, optimizer, tiny_data(8, 1), TrainConfig(batch_size=4), POLICY, 1)
+        assert optimizer.t == 0
+        assert state() == before
+
     @pytest.mark.parametrize("mode", ["original", "multi"])
     def test_nan_loss_with_finite_layers_raises(self, monkeypatch, mode):
         loss_fn = stagenet.scorenorm.batch_cross_entropy
