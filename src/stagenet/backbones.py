@@ -37,7 +37,7 @@ from .heads import ClassifierHead, aggregate_scores
 from .layers import AdaptiveMaxPool, BatchNorm2d, Conv2d, Layer, Linear, MaxPool2x2, ReLU
 from .rng import SeededRng
 
-BlockKind = Literal["plain_conv", "residual_basic", "downsample_transition", "concat_merge"]
+BlockKind = Literal["plain_conv", "residual_basic", "concat_merge"]
 Reduction = Literal["pool", "stride", "none"]
 
 
@@ -181,28 +181,6 @@ class ResidualBlock(Layer):
         return [(f"unit{i}", u) for i, u in enumerate(self.units)]
 
 
-class TransitionBlock(Layer):
-    """1x1 conv channel adapter (+bn+relu); spatial reduction is stage-level."""
-
-    def __init__(self, in_channels: int, spec: BlockSpec, stride_first: int,
-                 rng: SeededRng, dtype):
-        super().__init__()
-        if len(spec.plan) != 1 or spec.plan[0][0] != 1:
-            raise BuildError("downsample_transition needs a single 1x1 plan")
-        out_ch = spec.plan[0][1]
-        self.conv = Conv2d(in_channels, out_ch, 1, stride=stride_first, pad=0,
-                           bias=not spec.batchnorm, rng=rng, dtype=dtype)
-        self.bn = BatchNorm2d(out_ch, dtype=dtype) if spec.batchnorm else None
-        self.relu = ReLU()
-        self.out_channels = out_ch
-
-    def children(self):
-        out = [("conv", self.conv)]
-        if self.bn is not None:
-            out.append(("bn", self.bn))
-        return out + [("relu", self.relu)]
-
-
 class ConcatMergeBlock(Layer):
     """Dense-style merge: output is [input, body(input)] along channels.
 
@@ -236,7 +214,6 @@ class ConcatMergeBlock(Layer):
 _BLOCK_BUILDERS = {
     "plain_conv": PlainConvBlock,
     "residual_basic": ResidualBlock,
-    "downsample_transition": TransitionBlock,
     "concat_merge": ConcatMergeBlock,
 }
 
@@ -402,12 +379,8 @@ class Model(Layer):
         def observe(name: str, layer: Layer, direction: str, out: np.ndarray):
             n_out[layer] = out.size
 
-        try:
-            with self.hooked(observe), np.errstate(all="ignore"):
-                self.forward(np.zeros((1, c, h, w), dtype=self.dtype), training=False)
-        finally:
-            for _, layer in self.modules():
-                layer._cache = None
+        with self.hooked(observe), np.errstate(all="ignore"):
+            self.forward(np.zeros((1, c, h, w), dtype=self.dtype), training=False)
 
         def cost(part: Layer) -> tuple[int, int]:
             params = sum(p.size for p in part.named_params().values())

@@ -1,10 +1,10 @@
 """Differentiable layers with explicit forward and backward passes.
 
-Every layer caches what its backward pass needs during ``forward`` and
-must not be asked for gradients before running it.  Convolution uses the
-cross-correlation convention (no kernel flip).  Parameters are plain
-numpy arrays owned by the layer and updated in place by the optimizer;
-activations passed between layers are read-only.
+Every layer caches what its backward pass needs during a training-mode
+``forward`` and must not be asked for gradients before running it.
+Convolution uses the cross-correlation convention (no kernel flip).
+Parameters are plain numpy arrays owned by the layer and updated in place
+by the optimizer; activations passed between layers are read-only.
 
 Convolution stays in NCHW throughout: im2col copies each sample's windows
 into a (C*k*k, Ho*Wo) matrix, forward and both backward products are one
@@ -64,6 +64,8 @@ class Layer:
     ``with root.hooked(fn):``, report ``fn(name, layer, "fwd", output)`` or
     ``fn(name, layer, "bwd", dx)`` in execution order.  Training is not
     re-entrant: one forward's caches serve one backward, which takes them.
+    An eval-mode call ``child(x)`` drops the cache its forward left, so eval
+    holds no backward state and a backward after it raises.
     """
 
     kind = "composite"
@@ -79,7 +81,10 @@ class Layer:
         return []
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.reported("fwd", self.forward(x))
+        out = self.forward(x)
+        if not self.training:
+            self._cache = None
+        return self.reported("fwd", out)
 
     def backprop(self, grad_out: np.ndarray) -> np.ndarray:
         return self.reported("bwd", self.backward(grad_out))

@@ -13,8 +13,8 @@ import json
 import os
 import struct
 import time
+import zlib
 from dataclasses import asdict, dataclass, field
-from typing import BinaryIO
 
 import numpy as np
 
@@ -198,7 +198,8 @@ def _raise_at_first_nonfinite(model: Model, x: np.ndarray, labels: np.ndarray,
 
 def train_epoch(model: Model, optimizer: Adam, train_set: Dataset,
                 cfg: TrainConfig, policy: AugmentPolicy, epoch: int):
-    """One pass over shuffled mini-batches; returns (mean loss, accuracy).
+    """One pass over shuffled mini-batches, each drawn through
+    ``augment_batch``; returns (mean loss, accuracy).
 
     Before each optimizer step the loss and every parameter gradient must
     be finite.  Otherwise the step is skipped, so no parameter changes,
@@ -213,14 +214,9 @@ def train_epoch(model: Model, optimizer: Adam, train_set: Dataset,
     total_loss = 0.0
     total_correct = 0
     total_seen = 0
-    augmenting = policy.crop_pad > 0 or policy.flip_prob > 0 or policy.erase_prob > 0
     for i, (start, stop) in enumerate(_batch_slices(m, cfg.batch_size)):
         idx = perm[start:stop]
-        if augmenting:
-            x = augment_batch(train_set, idx, policy, cfg.seed, epoch)
-        else:
-            x = normalize_batch(train_set.images[idx], policy)
-        x = x.astype(model.dtype)
+        x = augment_batch(train_set, idx, policy, cfg.seed, epoch).astype(model.dtype)
         labels = train_set.labels[idx]
         out, _ = model.forward(x, training=True)
         loss, grad = scorenorm.batch_cross_entropy(out, labels)
@@ -266,7 +262,6 @@ def run_training(model: Model, train_set: Dataset, test_set: Dataset,
                  cfg: TrainConfig, policy: AugmentPolicy,
                  start_epoch: int = 1, optimizer: Adam | None = None,
                  scheduler: PlateauScheduler | None = None,
-                 metrics: RunMetrics | None = None,
                  checkpoint_path: str | None = None) -> RunMetrics:
     """Drive epochs ``start_epoch..cfg.epochs`` and collect metrics rows."""
     cfg.validate()
@@ -277,7 +272,7 @@ def run_training(model: Model, train_set: Dataset, test_set: Dataset,
     scheduler = scheduler or PlateauScheduler(cfg.learning_rate, cfg.scheduler_factor,
                                               cfg.scheduler_patience,
                                               cfg.scheduler_threshold, cfg.min_lr)
-    metrics = metrics or RunMetrics()
+    metrics = RunMetrics()
     for epoch in range(start_epoch, cfg.epochs + 1):
         tic = time.perf_counter()
         optimizer.lr = scheduler.lr
@@ -299,52 +294,10 @@ def run_training(model: Model, train_set: Dataset, test_set: Dataset,
 # checkpoints
 # --------------------------------------------------------------------------
 
-MAGIC = b"STGNCKP1"
-FORMAT_VERSION = 1
-_DTYPE_CODES = {"float32": 0, "float64": 1, "int64": 2}
-_CODE_DTYPES = {v: k for k, v in _DTYPE_CODES.items()}
-
-
-def _write_record(out: BinaryIO, name: str, arr: np.ndarray):
-    nb = name.encode("utf-8")
-    out.write(struct.pack("<H", len(nb)))
-    out.write(nb)
-    code = _DTYPE_CODES.get(arr.dtype.name)
-    if code is None:
-        raise ContractError(f"unsupported checkpoint dtype {arr.dtype}")
-    out.write(struct.pack("<BB", code, arr.ndim))
-    for d in arr.shape:
-        out.write(struct.pack("<I", d))
-    out.write(np.ascontiguousarray(arr).tobytes())
-
-
-class _Reader:
-    def __init__(self, buf: bytes):
-        self.buf = buf
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.buf):
-            raise FormatError("checkpoint truncated")
-        out = self.buf[self.pos:self.pos + n]
-        self.pos += n
-        return out
-
-    def unpack(self, fmt: str):
-        return struct.unpack("<" + fmt, self.take(struct.calcsize("<" + fmt)))
-
-
-def _read_record(r: _Reader):
-    (nlen,) = r.unpack("H")
-    name = r.take(nlen).decode("utf-8")
-    code, ndim = r.unpack("BB")
-    if code not in _CODE_DTYPES:
-        raise FormatError(f"unknown dtype code {code}")
-    shape = tuple(r.unpack("I" * ndim)) if ndim else ()
-    dtype = np.dtype(_CODE_DTYPES[code])
-    arr = np.frombuffer(r.take(int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
-                                if ndim else dtype.itemsize), dtype=dtype)
-    return name, arr.reshape(shape).copy()
+MAGIC = b"STGNCKP2"
+_HEAD = struct.Struct("<8sQQ")  # magic, header length, payload length
+_CRC = struct.Struct("<I")
+_DTYPES = ("float32", "float64", "int64")
 
 
 @dataclass
@@ -359,32 +312,35 @@ class Checkpoint:
 def save_checkpoint(path: str, model: Model, optimizer: Adam,
                     scheduler: PlateauScheduler, cfg: TrainConfig,
                     epoch_next: int):
-    """Little-endian binary: magic, version, config JSON, counters, then
-    (name, dtype, shape, raw data) records for params, buffers and the
-    optimizer moments.  Written to ``path + ".tmp"``, then renamed over
-    ``path``, so a failed save leaves the previous file intact."""
-    records = []
-    for name, arr in model.named_params().items():
-        records.append((f"param:{name}", arr))
-    for name, arr in model.named_buffers().items():
-        records.append((f"buffer:{name}", arr))
-    for name, arr in optimizer.m.items():
-        records.append((f"adam_m:{name}", arr))
-    for name, arr in optimizer.v.items():
-        records.append((f"adam_v:{name}", arr))
+    """Write one file: the head ``<8sQQ`` (magic ``STGNCKP2``, header
+    length, payload length); a UTF-8 JSON header holding the config, the
+    counters, the scheduler state and each tensor's ``[name, dtype, shape]``
+    (params, buffers, then the Adam moments); the tensors' little-endian
+    bytes in that order; and the CRC32 of every byte after the magic.
+    Only float32, float64 and int64 tensors are stored.  Written to
+    ``path + ".tmp"``, synced, then renamed over ``path``, so a failed save
+    leaves the previous file intact."""
+    tensors = [(f"{kind}:{name}", arr)
+               for kind, arrays in (("param", model.named_params()),
+                                    ("buffer", model.named_buffers()),
+                                    ("adam_m", optimizer.m), ("adam_v", optimizer.v))
+               for name, arr in arrays.items()]
+    for name, arr in tensors:
+        if arr.dtype.name not in _DTYPES:
+            raise ContractError(f"{name}: unsupported checkpoint dtype {arr.dtype}")
+    header = json.dumps({"config": asdict(cfg), "epoch_next": epoch_next,
+                         "adam_t": optimizer.t, "scheduler": scheduler.state(),
+                         "tensors": [[name, arr.dtype.name, arr.shape] for name, arr in tensors]},
+                        sort_keys=True).encode("utf-8")
+    payload = b"".join(np.ascontiguousarray(arr, arr.dtype.newbyteorder("<")).tobytes()
+                       for _, arr in tensors)
+    head = _HEAD.pack(MAGIC, len(header), len(payload))
+    crc = zlib.crc32(payload, zlib.crc32(header, zlib.crc32(head[len(MAGIC):])))
     tmp = f"{path}.tmp"
     try:
         with open(tmp, "wb") as out:
-            out.write(MAGIC)
-            out.write(struct.pack("<I", FORMAT_VERSION))
-            blob = json.dumps(asdict(cfg), sort_keys=True).encode("utf-8")
-            out.write(struct.pack("<Q", len(blob)))
-            out.write(blob)
-            out.write(struct.pack("<IQ", epoch_next, optimizer.t))
-            out.write(struct.pack("<ddI", scheduler.lr, scheduler.best, scheduler.bad_epochs))
-            out.write(struct.pack("<I", len(records)))
-            for name, arr in records:
-                _write_record(out, name, arr)
+            for part in (head, header, payload, _CRC.pack(crc)):
+                out.write(part)
             out.flush()
             os.fsync(out.fileno())  # the data must be on disk before the rename
         os.replace(tmp, path)
@@ -395,27 +351,44 @@ def save_checkpoint(path: str, model: Model, optimizer: Adam,
 
 
 def load_checkpoint(path: str) -> Checkpoint:
+    """Read a file written by ``save_checkpoint``.  The magic, the exact
+    file size the head declares and the CRC32 are checked before the header
+    is parsed; any failure raises ``FormatError``, and a file of another
+    format version is rejected by its magic."""
     with open(path, "rb") as fh:
-        r = _Reader(fh.read())
-    if r.take(len(MAGIC)) != MAGIC:
-        raise FormatError("bad magic bytes; not a stagenet checkpoint")
-    (version,) = r.unpack("I")
-    if version != FORMAT_VERSION:
-        raise FormatError(f"checkpoint format version {version} unsupported "
-                          f"(expected {FORMAT_VERSION})")
-    (blen,) = r.unpack("Q")
-    config = json.loads(r.take(blen).decode("utf-8"))
-    epoch_next, adam_t = r.unpack("IQ")
-    lr, best, bad = r.unpack("ddI")
-    (count,) = r.unpack("I")
-    tensors = {}
-    for _ in range(count):
-        name, arr = _read_record(r)
-        tensors[name] = arr
-    if r.pos != len(r.buf):
-        raise FormatError(f"{len(r.buf) - r.pos} trailing bytes after the last record")
-    return Checkpoint(config=config, epoch_next=epoch_next, adam_t=adam_t,
-                      scheduler_state=(lr, best, bad), tensors=tensors)
+        buf = fh.read()
+    if not buf.startswith(MAGIC):
+        raise FormatError("checkpoint truncated" if MAGIC.startswith(buf)
+                          else "bad magic bytes; not a stagenet v2 checkpoint")
+    if len(buf) < _HEAD.size + _CRC.size:
+        raise FormatError("checkpoint truncated")
+    _, hlen, plen = _HEAD.unpack_from(buf)
+    crc_at = _HEAD.size + hlen + plen
+    size = crc_at + _CRC.size
+    if len(buf) < size:
+        raise FormatError(f"checkpoint truncated: {len(buf)} of {size} bytes")
+    if len(buf) > size:
+        raise FormatError(f"{len(buf) - size} trailing bytes after the checksum")
+    if zlib.crc32(memoryview(buf)[len(MAGIC):crc_at]) != _CRC.unpack_from(buf, crc_at)[0]:
+        raise FormatError("checksum mismatch; the checkpoint is damaged")
+    try:
+        header = json.loads(buf[_HEAD.size:_HEAD.size + hlen].decode("utf-8"))
+        tensors = {}
+        offset = _HEAD.size + hlen
+        for name, dtype, shape in header["tensors"]:
+            if dtype not in _DTYPES:
+                raise FormatError(f"{name}: unsupported checkpoint dtype {dtype!r}")
+            count = int(np.prod(shape, dtype=np.int64))
+            arr = np.frombuffer(buf, np.dtype(dtype).newbyteorder("<"), count, offset)
+            tensors[name] = arr.astype(dtype).reshape(shape)
+            offset += arr.nbytes
+        if offset != crc_at:
+            raise FormatError(f"tensors end at byte {offset}, the payload at {crc_at}")
+        return Checkpoint(config=header["config"], epoch_next=header["epoch_next"],
+                          adam_t=header["adam_t"], scheduler_state=tuple(header["scheduler"]),
+                          tensors=tensors)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise FormatError(f"malformed checkpoint header: {exc}") from exc
 
 
 def _copy_exact(ckpt: Checkpoint, kinds: tuple, targets: dict) -> None:

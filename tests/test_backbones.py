@@ -28,12 +28,13 @@ def one_training_step(model, x, labels):
 
 
 def densey_spec():
-    """A one-stage backbone with the blocks no preset uses."""
+    """A one-stage dense-style backbone: a concat merge, then a 1x1
+    ``plain_conv`` transition before the stage's pool."""
     return BackboneSpec("densey", (
         SetSpec((
             BlockSpec("plain_conv", ((3, 8),), 1),
             BlockSpec("concat_merge", ((1, 16), (3, 4)), 1),
-            BlockSpec("downsample_transition", ((1, 6),), 1),
+            BlockSpec("plain_conv", ((1, 6),), 1),
         ), "pool"),
     ))
 
@@ -108,6 +109,19 @@ class TestForward:
         a, _ = model.forward(x, training=False)
         b, _ = model.forward(x, training=False)
         assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("preset,mode", [("mini_resnet", "multi"), ("mini_vgg", "original"),
+                                             ("densey", "multi")])
+    def test_eval_forward_keeps_no_cache(self, preset, mode):
+        model = (build(densey_spec(), mode, n_classes=4) if preset == "densey"
+                 else build_preset(preset, mode, n_classes=4))
+        x = SeededRng(1).uniform(0, 1, (2, 3, 16, 16), dtype=np.float32)
+        out, _ = model.forward(x, training=True)
+        assert any(layer._cache is not None for _, layer in model.modules())
+        out, _ = model.forward(x, training=False)
+        assert [name for name, layer in model.modules() if layer._cache is not None] == []
+        with pytest.raises(ContractError, match="without a new forward"):
+            model.backward(np.ones_like(out))
 
     def test_training_step_is_bitwise_deterministic(self):
         x = SeededRng(1).uniform(0, 1, (3, 3, 16, 16), dtype=np.float32)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from stagenet.data import (AugmentPolicy, Dataset, augment_batch, encode_cifar_records,
-                           make_synthetic, parse_cifar_records)
+                           make_synthetic, normalize_batch, parse_cifar_records)
 from stagenet.errors import DataError, FormatError
 from stagenet.rng import SeededRng
 
@@ -21,6 +21,16 @@ class TestAugmentBatch:
                                  for i in range(len(idx))])
         assert whole.shape == (12, 3, 8, 8)
         assert whole.tobytes() == halves.tobytes() == single.tobytes()
+
+    def test_without_augmentation_equals_normalize_batch(self):
+        data = make_synthetic("striped_patterns", 12, 3, 8, seed=1)
+        policy = AugmentPolicy(crop_pad=0, flip_prob=0, erase_prob=0,
+                               mean=[0.5, 0.4, 0.3], std=[0.2, 0.3, 0.4])
+        idx = SeededRng(2).permutation(len(data))
+        got = augment_batch(data, idx, policy, seed=3, epoch=2)
+        expected = normalize_batch(data.images[idx], policy)
+        assert got.dtype == expected.dtype == np.float32
+        assert got.tobytes() == expected.tobytes()
 
 
 def grid_dataset(n, n_classes):

@@ -224,6 +224,15 @@ class TestBatchNorm:
         for res in check_layer(bn, x, eps=1e-5, tol=1e-5):
             assert res.passed, res.line()
 
+    def test_eval_mode_gradients_match_finite_differences(self):
+        # a direct forward keeps its cache in eval mode too; only child(x) drops it
+        rng = SeededRng(18)
+        bn = L.BatchNorm2d(3, dtype=np.float64)
+        bn.forward(rng.uniform(-1, 1, (4, 3, 3, 3)))  # move the running stats off 0 and 1
+        bn.set_training(False)
+        for res in check_layer(bn, rng.uniform(-2, 2, (4, 3, 3, 3)), eps=1e-5, tol=1e-5):
+            assert res.passed, res.line()
+
 
 class TestLinear:
     def test_identity_weight(self):

@@ -6,9 +6,13 @@ from a checkpoint continues bit-exactly; and a model and its optimizer
 restore only from a complete, exact file, while a failed save keeps the
 previous one."""
 
+import json
 import os
 import re
-from dataclasses import dataclass, replace
+import struct
+import zlib
+from dataclasses import asdict, dataclass, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +21,7 @@ import stagenet.scorenorm
 import stagenet.train
 from stagenet import build_preset
 from stagenet.data import AugmentPolicy, make_synthetic
-from stagenet.errors import FormatError, NumericsError, ShapeError
+from stagenet.errors import ContractError, FormatError, NumericsError, ShapeError
 from stagenet.rng import SeededRng
 from stagenet.train import (Adam, PlateauScheduler, TrainConfig, evaluate, load_checkpoint,
                             restore_model, restore_optimizer, run_training, save_checkpoint,
@@ -206,6 +210,88 @@ class TestCheckpointKeys:
             load_checkpoint(path)
 
 
+def file_regions(raw):
+    """Byte offsets inside each region of a checkpoint: the head ``<8sQQ``
+    (magic, header length, payload length), the JSON header, the payload
+    and the CRC32 that closes the file."""
+    _, hlen, plen = struct.unpack_from("<8sQQ", raw)
+    payload = 24 + hlen
+    return {"magic": 0, "header_length": 8, "payload_length": 16, "header": 24 + hlen // 2,
+            "payload_start": payload, "payload_middle": payload + plen // 2,
+            "payload_end": payload + plen - 1, "crc": len(raw) - 1}
+
+
+def rewrite(path, edit):
+    """Re-encode a checkpoint after ``edit(header, payload)`` under a valid CRC32
+    of every byte after the magic."""
+    raw = Path(path).read_bytes()
+    _, hlen, plen = struct.unpack_from("<8sQQ", raw)
+    header, payload = edit(json.loads(raw[24:24 + hlen]), raw[24 + hlen:24 + hlen + plen])
+    blob = json.dumps(header).encode("utf-8")
+    body = struct.pack("<QQ", len(blob), len(payload)) + blob + payload
+    Path(path).write_bytes(b"STGNCKP2" + body + struct.pack("<I", zlib.crc32(body)))
+
+
+class TestCheckpointFile:
+    def test_layout_round_trips(self, tmp_path):
+        path = saved_checkpoint(tmp_path, "multi")
+        saved = load_checkpoint(path)
+        rewrite(path, lambda header, payload: (header, payload))
+        ckpt = load_checkpoint(path)
+        assert (ckpt.config, ckpt.epoch_next, ckpt.adam_t, ckpt.scheduler_state) == \
+            (asdict(TrainConfig()), 2, 0, (1e-3, np.inf, 0))
+        assert list(ckpt.tensors) == list(saved.tensors)
+        for k, v in saved.tensors.items():
+            assert v.dtype == ckpt.tensors[k].dtype and v.tobytes() == ckpt.tensors[k].tobytes(), k
+
+    @pytest.mark.parametrize("region", ["magic", "header_length", "payload_length", "header",
+                                        "payload_start", "payload_middle", "payload_end", "crc"])
+    def test_one_flipped_byte_rejected(self, tmp_path, region):
+        path = saved_checkpoint(tmp_path, "multi")
+        raw = bytearray(Path(path).read_bytes())
+        raw[file_regions(raw)[region]] ^= 0xFF
+        Path(path).write_bytes(raw)
+        with pytest.raises(FormatError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("keep", [0, 5, 20, 100, "half", "all but one"])
+    def test_truncated_file_rejected(self, tmp_path, keep):
+        path = saved_checkpoint(tmp_path, "original")
+        raw = Path(path).read_bytes()
+        keep = {"half": len(raw) // 2, "all but one": len(raw) - 1}.get(keep, keep)
+        Path(path).write_bytes(raw[:keep])
+        with pytest.raises(FormatError, match="truncated"):
+            load_checkpoint(path)
+
+    def test_old_format_rejected(self, tmp_path):
+        path = saved_checkpoint(tmp_path, "original")
+        Path(path).write_bytes(b"STGNCKP1" + Path(path).read_bytes()[8:])
+        with pytest.raises(FormatError, match="magic"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit,match", [
+        (lambda h, p: ({**h, "tensors": [[n, "float16", s] for n, _, s in h["tensors"]]}, p),
+         "dtype"),
+        (lambda h, p: (h, p[:-4]), "payload"),
+        (lambda h, p: ({k: v for k, v in h.items() if k != "adam_t"}, p), "adam_t"),
+    ])
+    def test_bad_header_under_a_valid_crc_rejected(self, tmp_path, edit, match):
+        path = saved_checkpoint(tmp_path, "original")
+        rewrite(path, edit)
+        with pytest.raises(FormatError, match=match):
+            load_checkpoint(path)
+
+    def test_unsupported_dtype_not_saved(self, tmp_path):
+        model = build_preset("mini_vgg", "original", n_classes=4, seed=1)
+        opt = Adam(model.named_params(), 1e-3)
+        key = next(iter(opt.m))
+        opt.m[key] = opt.m[key].astype(np.float16)
+        path = str(tmp_path / "run.ckpt")
+        with pytest.raises(ContractError, match=f"adam_m:{key}"):
+            save_checkpoint(path, model, opt, PlateauScheduler(1e-3), TrainConfig(), 2)
+        assert os.listdir(tmp_path) == []
+
+
 def trained_optimizer(model, seed):
     """An Adam whose moments and step count are all non-zero."""
     opt = Adam(model.named_params(), 1e-3)
@@ -254,21 +340,18 @@ class TestAtomicSave:
         x = SeededRng(5).uniform(0, 1, (2, 3, 16, 16), dtype=np.float32)
         expected = model.forward(x)[0]
 
-        write_record = stagenet.train._write_record
         calls = []
 
-        def failing_write(out, name, arr):
-            calls.append(name)
-            if len(calls) == 5:
-                raise OSError("disk full")
-            write_record(out, name, arr)
+        def failing_fsync(fd):
+            calls.append(fd)
+            raise OSError("disk full")
 
-        monkeypatch.setattr(stagenet.train, "_write_record", failing_write)
+        monkeypatch.setattr(stagenet.train.os, "fsync", failing_fsync)
         for p in model.named_params().values():
             p += 1
         with pytest.raises(OSError, match="disk full"):
             save_checkpoint(path, model, opt, PlateauScheduler(1e-3), TrainConfig(), 3)
-        assert len(calls) == 5
+        assert len(calls) == 1
         assert os.listdir(tmp_path) == ["run.ckpt"]
         with open(path, "rb") as fh:
             assert fh.read() == first
