@@ -23,6 +23,10 @@ scaled by the batch size:
 A multiply-accumulate counts as one FLOP by default and as two with
 ``flop_mode=2``.  Work done outside a layer (the residual add, the
 channel concat, the head-score sum) is not counted.
+
+Every composite below the model declares its children with ``Layer.add``
+in execution order, so a child's attribute name is its name in
+``modules()`` and in parameter names (``set1.block0.conv0.weight``).
 """
 
 from __future__ import annotations
@@ -89,28 +93,15 @@ class PlainConvBlock(Layer):
     def __init__(self, in_channels: int, spec: BlockSpec, stride_first: int,
                  rng: SeededRng, dtype):
         super().__init__()
-        self.convs: list[Conv2d] = []
-        self.bns: list[BatchNorm2d | None] = []
-        self.relus: list[ReLU] = []
         ch = in_channels
-        for rep in range(spec.repeat):
-            for idx, (k, out_ch) in enumerate(spec.plan):
-                stride = stride_first if (rep == 0 and idx == 0) else 1
-                self.convs.append(Conv2d(ch, out_ch, k, stride=stride, pad=k // 2,
-                                         bias=not spec.batchnorm, rng=rng, dtype=dtype))
-                self.bns.append(BatchNorm2d(out_ch, dtype=dtype) if spec.batchnorm else None)
-                self.relus.append(ReLU())
-                ch = out_ch
+        for i, (k, out_ch) in enumerate(spec.plan * spec.repeat):
+            self.add(f"conv{i}", Conv2d(ch, out_ch, k, stride=stride_first if i == 0 else 1,
+                                        pad=k // 2, bias=not spec.batchnorm, rng=rng, dtype=dtype))
+            if spec.batchnorm:
+                self.add(f"bn{i}", BatchNorm2d(out_ch, dtype=dtype))
+            self.add(f"relu{i}", ReLU())
+            ch = out_ch
         self.out_channels = ch
-
-    def children(self):
-        out = []
-        for i, (conv, bn, relu) in enumerate(zip(self.convs, self.bns, self.relus)):
-            out.append((f"conv{i}", conv))
-            if bn is not None:
-                out.append((f"bn{i}", bn))
-            out.append((f"relu{i}", relu))
-        return out
 
 
 class _ResidualUnit(Layer):
@@ -119,29 +110,20 @@ class _ResidualUnit(Layer):
     def __init__(self, in_channels: int, plan, stride: int, rng: SeededRng, dtype):
         super().__init__()
         (k1, ch1), (k2, ch2) = plan
-        self.conv1 = Conv2d(in_channels, ch1, k1, stride=stride, pad=k1 // 2,
-                            bias=False, rng=rng, dtype=dtype)
-        self.bn1 = BatchNorm2d(ch1, dtype=dtype)
-        self.relu1 = ReLU()
-        self.conv2 = Conv2d(ch1, ch2, k2, stride=1, pad=k2 // 2,
-                            bias=False, rng=rng, dtype=dtype)
-        self.bn2 = BatchNorm2d(ch2, dtype=dtype)
-        self.relu2 = ReLU()
+        self.add("conv1", Conv2d(in_channels, ch1, k1, stride=stride, pad=k1 // 2,
+                                 bias=False, rng=rng, dtype=dtype))
+        self.add("bn1", BatchNorm2d(ch1, dtype=dtype))
+        self.add("relu1", ReLU())
+        self.add("conv2", Conv2d(ch1, ch2, k2, stride=1, pad=k2 // 2,
+                                 bias=False, rng=rng, dtype=dtype))
+        self.add("bn2", BatchNorm2d(ch2, dtype=dtype))
+        self.proj = None
         if stride != 1 or in_channels != ch2:
-            self.proj = Conv2d(in_channels, ch2, 1, stride=stride, pad=0,
-                               bias=False, rng=rng, dtype=dtype)
-            self.proj_bn = BatchNorm2d(ch2, dtype=dtype)
-        else:
-            self.proj = None
-            self.proj_bn = None
+            self.add("proj", Conv2d(in_channels, ch2, 1, stride=stride, pad=0,
+                                    bias=False, rng=rng, dtype=dtype))
+            self.add("proj_bn", BatchNorm2d(ch2, dtype=dtype))
+        self.add("relu2", ReLU())
         self.out_channels = ch2
-
-    def children(self):
-        out = [("conv1", self.conv1), ("bn1", self.bn1), ("relu1", self.relu1),
-               ("conv2", self.conv2), ("bn2", self.bn2)]
-        if self.proj is not None:
-            out += [("proj", self.proj), ("proj_bn", self.proj_bn)]
-        return out + [("relu2", self.relu2)]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         main = self.relu1(self.bn1(self.conv1(x)))
@@ -168,17 +150,12 @@ class ResidualBlock(Layer):
         super().__init__()
         if len(spec.plan) != 2:
             raise BuildError("residual_basic needs a two-conv plan")
-        self.units: list[_ResidualUnit] = []
         ch = in_channels
-        for rep in range(spec.repeat):
-            stride = stride_first if rep == 0 else 1
-            unit = _ResidualUnit(ch, spec.plan, stride, rng, dtype)
-            self.units.append(unit)
+        for i in range(spec.repeat):
+            unit = self.add(f"unit{i}", _ResidualUnit(ch, spec.plan, stride_first if i == 0 else 1,
+                                                      rng, dtype))
             ch = unit.out_channels
         self.out_channels = ch
-
-    def children(self):
-        return [(f"unit{i}", u) for i, u in enumerate(self.units)]
 
 
 class ConcatMergeBlock(Layer):
@@ -193,11 +170,8 @@ class ConcatMergeBlock(Layer):
         if stride_first != 1:
             raise BuildError("concat_merge does not take a stage stride")
         self.in_channels = in_channels
-        self.body = PlainConvBlock(in_channels, spec, 1, rng, dtype)
+        self.add("body", PlainConvBlock(in_channels, spec, 1, rng, dtype))
         self.out_channels = in_channels + self.body.out_channels
-
-    def children(self):
-        return [("body", self.body)]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         y = self.body(x)
@@ -225,24 +199,18 @@ class SetModule(Layer):
                  rng: SeededRng, dtype):
         super().__init__()
         self.index = index
-        self.blocks = []
         ch = in_channels
         stride_first = 2 if spec.reduction == "stride" else 1
         for bi, bspec in enumerate(spec.blocks):
             builder = _BLOCK_BUILDERS.get(bspec.kind)
             if builder is None:
                 raise BuildError(f"unknown block kind {bspec.kind!r}")
-            block = builder(ch, bspec, stride_first if bi == 0 else 1, rng, dtype)
-            self.blocks.append(block)
+            block = self.add(f"block{bi}", builder(ch, bspec, stride_first if bi == 0 else 1,
+                                                   rng, dtype))
             ch = block.out_channels
-        self.pool = MaxPool2x2() if spec.reduction == "pool" else None
+        if spec.reduction == "pool":
+            self.add("pool", MaxPool2x2())
         self.out_channels = ch
-
-    def children(self):
-        out = [(f"block{i}", b) for i, b in enumerate(self.blocks)]
-        if self.pool is not None:
-            out.append(("pool", self.pool))
-        return out
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         try:
@@ -263,22 +231,12 @@ class OriginalClassifier(Layer):
                  rng: SeededRng | None = None, dtype=np.float32):
         super().__init__()
         rng = rng if rng is not None else SeededRng(0)
-        self.pool = AdaptiveMaxPool()
-        self.linears: list[Linear] = []
-        self.relus: list[ReLU] = []
+        self.add("pool", AdaptiveMaxPool())
         widths = [in_channels, *hidden, n_classes]
-        for i in range(len(widths) - 1):
-            self.linears.append(Linear(widths[i], widths[i + 1], bias=True, rng=rng, dtype=dtype))
-            if i < len(widths) - 2:
-                self.relus.append(ReLU())
-
-    def children(self):
-        out = [("pool", self.pool)]
-        for i, lin in enumerate(self.linears):
-            out.append((f"fc{i}", lin))
-            if i < len(self.relus):
-                out.append((f"relu{i}", self.relus[i]))
-        return out
+        for i, (w_in, w_out) in enumerate(zip(widths, widths[1:])):
+            self.add(f"fc{i}", Linear(w_in, w_out, bias=True, rng=rng, dtype=dtype))
+            if i < len(hidden):
+                self.add(f"relu{i}", ReLU())
 
 
 # --------------------------------------------------------------------------
@@ -302,6 +260,9 @@ class Model(Layer):
 
     Its children are the stages ``set<i>``, then either the heads
     ``head<t>`` (``multi`` mode) or one ``classifier`` (``original``).
+    Unlike the composites it holds, it lists them in its own ``children()``
+    rather than with ``add``: its forward and backward index ``sets`` and
+    ``heads`` by stage.
     """
 
     def __init__(self, spec: BackboneSpec, sets: list[SetModule], mode: str,

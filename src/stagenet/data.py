@@ -7,9 +7,9 @@ horizontal flip, per-channel normalization, random erasing; evaluation
 applies the normalization only.  Channel statistics always come from the
 training split.
 
-Synthetic datasets cover deterministic desk-scale runs: ``two_gaussians``
-is linearly separable by construction; ``striped_patterns`` assigns each
-class an oriented grating that only convolutional features separate.
+The synthetic dataset for deterministic desk-scale runs,
+``striped_patterns``, assigns each class an oriented grating that only
+convolutional features separate.
 """
 
 from __future__ import annotations
@@ -238,6 +238,8 @@ def normalize_batch(images: np.ndarray, policy: AugmentPolicy) -> np.ndarray:
 def make_synthetic(kind: str, n_samples: int, n_classes: int, image_size: int,
                    seed: int, noise: float = 0.25) -> Dataset:
     """Deterministic labeled images for desk-scale experiments."""
+    if kind != "striped_patterns":
+        raise ContractError(f"unknown synthetic kind {kind!r}")
     if n_classes < 2:
         raise ContractError("need at least 2 classes")
     if n_samples == 0:
@@ -245,22 +247,8 @@ def make_synthetic(kind: str, n_samples: int, n_classes: int, image_size: int,
         return Dataset(np.zeros(shape, np.float32), np.zeros(0, np.int64), n_classes)
     rng = SeededRng(seed, 31)
     labels = rng.integers(0, n_classes, (n_samples,)).astype(np.int64)
-    if kind == "two_gaussians":
-        images = _two_gaussians(labels, n_classes, image_size, rng, noise)
-    elif kind == "striped_patterns":
-        images = _striped_patterns(labels, n_classes, image_size, rng, noise)
-    else:
-        raise ContractError(f"unknown synthetic kind {kind!r}")
+    images = _striped_patterns(labels, n_classes, image_size, rng, noise)
     return Dataset(np.clip(images, 0.0, 1.0).astype(np.float32), labels, n_classes)
-
-
-def _two_gaussians(labels, n_classes, size, rng, noise):
-    # one well-separated constant color per class plus pixel noise
-    centers = rng.uniform(0.15, 0.85, (n_classes, 3))
-    centers[:, 0] = np.linspace(0.2, 0.8, n_classes)  # guarantee separation
-    images = centers[labels][:, :, None, None] * np.ones((1, 1, size, size))
-    images += rng.normal(0.0, noise * 0.2, images.shape)
-    return images
 
 
 def _striped_patterns(labels, n_classes, size, rng, noise):

@@ -70,18 +70,14 @@ class ClassifierHead(Layer):
         self.t = t
         self.in_channels = in_channels
         self.target_channels = target_channels
-        self.norm = ScoreNorm(normalizer)
         rng = rng if rng is not None else SeededRng(0)
-        self.conv = Conv2d(in_channels, target_channels, 3, stride=1, pad=1,
-                           bias=False, rng=rng, dtype=dtype)
-        self.pool = AdaptiveMaxPool()
-        self.bn = BatchNorm2d(target_channels, dtype=dtype)
-        self.fc = Linear(target_channels, n_classes, bias=True, rng=rng, dtype=dtype)
-        self.act = Softplus()
-
-    def children(self):
-        return [("conv", self.conv), ("pool", self.pool), ("bn", self.bn),
-                ("fc", self.fc), ("act", self.act), ("norm", self.norm)]
+        self.add("conv", Conv2d(in_channels, target_channels, 3, stride=1, pad=1,
+                                bias=False, rng=rng, dtype=dtype))
+        self.add("pool", AdaptiveMaxPool())
+        self.add("bn", BatchNorm2d(target_channels, dtype=dtype))
+        self.add("fc", Linear(target_channels, n_classes, bias=True, rng=rng, dtype=dtype))
+        self.add("act", Softplus())
+        self.add("norm", ScoreNorm(normalizer))
 
     def forward(self, h_t: np.ndarray) -> np.ndarray:
         if h_t.ndim != 4 or h_t.shape[1] != self.in_channels:

@@ -16,6 +16,9 @@ slices.  The im2col matrix is recomputed in backward, not cached (see
 
 Weight init is fan-in-scaled uniform (bound sqrt(6/fan_in)) for conv and
 linear; batchnorm starts at gamma=1, beta=0.
+
+Composites (``backbones``, ``heads``) are built from these layers with
+``Layer.add``, which names each child once, in execution order.
 """
 
 from __future__ import annotations
@@ -48,9 +51,11 @@ class Layer:
     """Base of every node of the module tree, leaf layer or composite.
 
     A leaf fills ``params``/``grads`` with matching keys and overrides
-    ``forward``/``backward``.  A composite names its sub-layers, in order
-    and including the parameter-free ones, in ``children()``; its forward
-    runs the children in that order and its backward runs them reversed.
+    ``forward``/``backward``.  A composite declares each sub-layer once,
+    including the parameter-free ones, with ``self.add(name, child)`` in
+    execution order: that binds ``self.<name>`` and lists the pair in
+    ``children()``.  Its forward runs the children in that order and its
+    backward runs them reversed.
     Composites override forward/backward only where the graph branches
     (``_ResidualUnit``, ``ConcatMergeBlock``, ``Model``) or where a child's
     gradient is known to be sparse (``ClassifierHead``'s backward), and
@@ -76,9 +81,17 @@ class Layer:
         self.grads: dict[str, np.ndarray] = {}
         self.training = True
         self._cache = None
+        self._children: list[tuple[str, Layer]] = []
+
+    def add(self, name: str, child: Layer) -> Layer:
+        """Bind ``child`` as ``self.<name>`` and list it as the next child;
+        returns the child."""
+        setattr(self, name, child)
+        self._children.append((name, child))
+        return child
 
     def children(self) -> list[tuple[str, Layer]]:
-        return []
+        return self._children
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         out = self.forward(x)

@@ -7,7 +7,7 @@ from stagenet import build, build_preset
 from stagenet.backbones import BackboneSpec, BlockSpec, OriginalClassifier, SetSpec
 from stagenet.errors import BuildError, ContractError, ShapeError
 from stagenet.gradcheck import check_layer, check_model
-from stagenet.layers import Conv2d
+from stagenet.layers import Conv2d, Layer
 from stagenet.rng import SeededRng
 from stagenet.scorenorm import batch_cross_entropy
 
@@ -59,7 +59,8 @@ class TestStructure:
 
     def test_vgg16_fc_stack_variant(self):
         model = build_preset("vgg16", "original", n_classes=N, hidden=(4096, 4096))
-        widths = [(l.in_features, l.out_features) for l in model.classifier.linears]
+        widths = [(l.in_features, l.out_features)
+                  for _, l in model.classifier.children() if l.kind == "linear"]
         assert widths == [(512, 4096), (4096, 4096), (4096, N)]
 
     def test_resnet18_multi_has_five_matching_heads(self):
@@ -92,6 +93,34 @@ class TestStructure:
     def test_unknown_preset_rejected(self):
         with pytest.raises(ContractError):
             build_preset("vgg99")
+
+
+@pytest.mark.parametrize("preset,mode", [("mini_resnet", "multi"), ("mini_vgg", "original"),
+                                         ("densey", "multi")])
+class TestChildrenAreAttributes:
+    """Every layer is reached once through its parent's attributes, under
+    its name in ``modules()``: the invariant an attribute walk relies on."""
+
+    def build(self, preset, mode):
+        return (build(densey_spec(), mode, n_classes=4) if preset == "densey"
+                else build_preset(preset, mode, n_classes=4))
+
+    def test_below_the_root_attributes_are_the_children(self, preset, mode):
+        for name, node in self.build(preset, mode).modules()[1:]:
+            children = node.children()
+            attrs = {k: v for k, v in vars(node).items() if isinstance(v, Layer)}
+            assert attrs == dict(children) and len(children) == len(attrs), name
+            assert not [k for k, v in vars(node).items()
+                        if isinstance(v, list) and any(isinstance(i, Layer) for i in v)], name
+
+    def test_root_reaches_each_child_once(self, preset, mode):
+        model = self.build(preset, mode)
+        reached = []
+        for value in vars(model).values():
+            reached += [v for v in (value if isinstance(value, list) else [value])
+                        if isinstance(v, Layer)]
+        assert sorted(map(id, reached)) == sorted(id(c) for _, c in model.children())
+        assert len(set(map(id, reached))) == len(reached)
 
 
 class TestForward:

@@ -1,11 +1,15 @@
-"""Augmentation streams and the CIFAR binary reader."""
+"""Augmentation streams, synthetic data and the CIFAR binary reader."""
+
+import re
 
 import numpy as np
 import pytest
 
-from stagenet.data import (AugmentPolicy, Dataset, augment_batch, encode_cifar_records,
-                           make_synthetic, normalize_batch, parse_cifar_records)
-from stagenet.errors import DataError, FormatError
+from stagenet.data import (CIFAR10_RECORD, CIFAR10_TEST_FILES, CIFAR10_TRAIN_FILES,
+                           AugmentPolicy, Dataset, _load_files, augment_batch, cifar_available,
+                           encode_cifar_records, load_cifar, make_synthetic, normalize_batch,
+                           parse_cifar_records)
+from stagenet.errors import ContractError, DataError, FormatError
 from stagenet.rng import SeededRng
 
 
@@ -64,3 +68,45 @@ class TestCifarRecords:
         raw[record + label_offset] = n_classes  # in the second record
         with pytest.raises(DataError, match=f"label byte {n_classes} "):
             parse_cifar_records(bytes(raw), variant)
+
+
+def test_unknown_synthetic_kind_rejected():
+    with pytest.raises(ContractError, match="unknown synthetic kind 'noise'"):
+        make_synthetic("noise", 4, 2, 8, seed=0)
+
+
+class TestCifarDirectory:
+    def test_missing_file_named(self, tmp_path):
+        missing = tmp_path / CIFAR10_TRAIN_FILES[0]
+        with pytest.raises(FormatError, match=re.escape(f"missing dataset file {missing}")):
+            load_cifar(str(tmp_path))
+
+    def test_file_one_record_short_named(self, tmp_path):
+        short = tmp_path / CIFAR10_TRAIN_FILES[0]
+        with open(short, "wb") as fh:  # sparse zeros; the length is checked before parsing
+            fh.truncate(9999 * CIFAR10_RECORD)
+        with pytest.raises(FormatError, match=re.escape(
+                f"{short}: expected {10000 * CIFAR10_RECORD} bytes (10000 records)")):
+            load_cifar(str(tmp_path))
+
+    def test_available_only_with_all_six_files(self, tmp_path):
+        names = CIFAR10_TRAIN_FILES + CIFAR10_TEST_FILES
+        assert len(names) == 6
+        assert not cifar_available(str(tmp_path))
+        for name in names[:-1]:
+            (tmp_path / name).touch()
+        assert not cifar_available(str(tmp_path))
+        (tmp_path / names[-1]).touch()
+        assert cifar_available(str(tmp_path))
+
+    @pytest.mark.parametrize("variant,n_classes", [("cifar10", 10), ("cifar100-fine", 100)])
+    def test_load_files_round_trip(self, tmp_path, variant, n_classes):
+        data = grid_dataset(6, n_classes)
+        names = ["a.bin", "b.bin"]
+        for i, name in enumerate(names):
+            (tmp_path / name).write_bytes(encode_cifar_records(data.subset(range(3 * i, 3 * i + 3)),
+                                                               variant))
+        back = _load_files(str(tmp_path), names, variant, 3)
+        assert back.n_classes == n_classes
+        assert back.images.tobytes() == data.images.tobytes()
+        np.testing.assert_array_equal(back.labels, data.labels)
