@@ -3,12 +3,12 @@
 Backbones are chains of stages; every stage can feed its own classifier
 head (3x3 conv, global max pool, batchnorm, linear, softplus, score
 normalizer) and the per-head score vectors are summed into the model
-output.  Everything is seeded and deterministic, and every backward pass
-is checkable against finite differences (``gradcheck``).  The package is
-a library with no command line: ``train`` holds the training loop, Adam,
-the plateau scheduler and binary checkpoints, ``data`` the CIFAR reader,
-synthetic datasets and augmentation, and ``Model.count_stats`` the
-parameter and FLOP accounting.
+output.  Every layer is float32; ``Layer.astype`` casts a built tree, as
+the finite-difference checks (``gradcheck``) need float64.  Everything is
+seeded and deterministic.  The package is a library with no command line:
+``train`` holds the training loop, Adam, the plateau scheduler and binary
+checkpoints, ``data`` the CIFAR reader, synthetic datasets and
+augmentation, and ``Model.count_stats`` the parameter and FLOP accounting.
 """
 
 from .backbones import (BackboneSpec, BlockSpec, Model, ModelStats, PRESETS,

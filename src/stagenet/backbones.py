@@ -91,14 +91,14 @@ class PlainConvBlock(Layer):
     """conv(+bn)+relu chain; bias only when no batchnorm follows the conv."""
 
     def __init__(self, in_channels: int, spec: BlockSpec, stride_first: int,
-                 rng: SeededRng, dtype):
+                 rng: SeededRng):
         super().__init__()
         ch = in_channels
         for i, (k, out_ch) in enumerate(spec.plan * spec.repeat):
             self.add(f"conv{i}", Conv2d(ch, out_ch, k, stride=stride_first if i == 0 else 1,
-                                        pad=k // 2, bias=not spec.batchnorm, rng=rng, dtype=dtype))
+                                        pad=k // 2, bias=not spec.batchnorm, rng=rng))
             if spec.batchnorm:
-                self.add(f"bn{i}", BatchNorm2d(out_ch, dtype=dtype))
+                self.add(f"bn{i}", BatchNorm2d(out_ch))
             self.add(f"relu{i}", ReLU())
             ch = out_ch
         self.out_channels = ch
@@ -107,21 +107,21 @@ class PlainConvBlock(Layer):
 class _ResidualUnit(Layer):
     """conv-bn-relu-conv-bn with identity or projected skip, then relu."""
 
-    def __init__(self, in_channels: int, plan, stride: int, rng: SeededRng, dtype):
+    def __init__(self, in_channels: int, plan, stride: int, rng: SeededRng):
         super().__init__()
         (k1, ch1), (k2, ch2) = plan
         self.add("conv1", Conv2d(in_channels, ch1, k1, stride=stride, pad=k1 // 2,
-                                 bias=False, rng=rng, dtype=dtype))
-        self.add("bn1", BatchNorm2d(ch1, dtype=dtype))
+                                 bias=False, rng=rng))
+        self.add("bn1", BatchNorm2d(ch1))
         self.add("relu1", ReLU())
         self.add("conv2", Conv2d(ch1, ch2, k2, stride=1, pad=k2 // 2,
-                                 bias=False, rng=rng, dtype=dtype))
-        self.add("bn2", BatchNorm2d(ch2, dtype=dtype))
+                                 bias=False, rng=rng))
+        self.add("bn2", BatchNorm2d(ch2))
         self.proj = None
         if stride != 1 or in_channels != ch2:
             self.add("proj", Conv2d(in_channels, ch2, 1, stride=stride, pad=0,
-                                    bias=False, rng=rng, dtype=dtype))
-            self.add("proj_bn", BatchNorm2d(ch2, dtype=dtype))
+                                    bias=False, rng=rng))
+            self.add("proj_bn", BatchNorm2d(ch2))
         self.add("relu2", ReLU())
         self.out_channels = ch2
 
@@ -146,14 +146,14 @@ class ResidualBlock(Layer):
     """``repeat`` stacked residual units; stride applies to the first."""
 
     def __init__(self, in_channels: int, spec: BlockSpec, stride_first: int,
-                 rng: SeededRng, dtype):
+                 rng: SeededRng):
         super().__init__()
         if len(spec.plan) != 2:
             raise BuildError("residual_basic needs a two-conv plan")
         ch = in_channels
         for i in range(spec.repeat):
             unit = self.add(f"unit{i}", _ResidualUnit(ch, spec.plan, stride_first if i == 0 else 1,
-                                                      rng, dtype))
+                                                      rng))
             ch = unit.out_channels
         self.out_channels = ch
 
@@ -165,12 +165,12 @@ class ConcatMergeBlock(Layer):
     """
 
     def __init__(self, in_channels: int, spec: BlockSpec, stride_first: int,
-                 rng: SeededRng, dtype):
+                 rng: SeededRng):
         super().__init__()
         if stride_first != 1:
             raise BuildError("concat_merge does not take a stage stride")
         self.in_channels = in_channels
-        self.add("body", PlainConvBlock(in_channels, spec, 1, rng, dtype))
+        self.add("body", PlainConvBlock(in_channels, spec, 1, rng))
         self.out_channels = in_channels + self.body.out_channels
 
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -195,8 +195,7 @@ _BLOCK_BUILDERS = {
 class SetModule(Layer):
     """One stage: its blocks plus the stage-level spatial reduction."""
 
-    def __init__(self, index: int, in_channels: int, spec: SetSpec,
-                 rng: SeededRng, dtype):
+    def __init__(self, index: int, in_channels: int, spec: SetSpec, rng: SeededRng):
         super().__init__()
         self.index = index
         ch = in_channels
@@ -205,8 +204,7 @@ class SetModule(Layer):
             builder = _BLOCK_BUILDERS.get(bspec.kind)
             if builder is None:
                 raise BuildError(f"unknown block kind {bspec.kind!r}")
-            block = self.add(f"block{bi}", builder(ch, bspec, stride_first if bi == 0 else 1,
-                                                   rng, dtype))
+            block = self.add(f"block{bi}", builder(ch, bspec, stride_first if bi == 0 else 1, rng))
             ch = block.out_channels
         if spec.reduction == "pool":
             self.add("pool", MaxPool2x2())
@@ -228,13 +226,13 @@ class OriginalClassifier(Layer):
     """
 
     def __init__(self, in_channels: int, n_classes: int, hidden: Sequence[int] = (),
-                 rng: SeededRng | None = None, dtype=np.float32):
+                 rng: SeededRng | None = None):
         super().__init__()
         rng = rng if rng is not None else SeededRng(0)
         self.add("pool", AdaptiveMaxPool())
         widths = [in_channels, *hidden, n_classes]
         for i, (w_in, w_out) in enumerate(zip(widths, widths[1:])):
-            self.add(f"fc{i}", Linear(w_in, w_out, bias=True, rng=rng, dtype=dtype))
+            self.add(f"fc{i}", Linear(w_in, w_out, rng=rng))
             if i < len(hidden):
                 self.add(f"relu{i}", ReLU())
 
@@ -249,10 +247,7 @@ class ModelStats:
     params: int
     flops: int
     per_set: list
-    classifier_params: int
     classifier_flops: int
-    input_shape: tuple
-    flop_convention: str
 
 
 class Model(Layer):
@@ -267,14 +262,13 @@ class Model(Layer):
 
     def __init__(self, spec: BackboneSpec, sets: list[SetModule], mode: str,
                  heads: list[ClassifierHead] | None,
-                 classifier: OriginalClassifier | None, dtype):
+                 classifier: OriginalClassifier | None):
         super().__init__()
         self.spec = spec
         self.sets = sets
         self.mode = mode
         self.heads = heads
         self.classifier = classifier
-        self.dtype = dtype
 
     @property
     def n_sets(self) -> int:
@@ -295,10 +289,9 @@ class Model(Layer):
                 f"expected (B,{self.spec.in_channels},H,W) input, got {x.shape}")
         self.set_training(training)
         taps = []
-        h = x.astype(self.dtype, copy=False)
         for s in self.sets:
-            h = s(h)
-            taps.append(h)
+            x = s(x)
+            taps.append(x)
         if self.mode == "multi":
             per_head = [head(t) for head, t in zip(self.heads, taps)]
             return aggregate_scores(per_head), per_head
@@ -306,8 +299,7 @@ class Model(Layer):
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         """Backpropagate from the model output gradient into all parameters;
-        returns the gradient of the input, in the model's dtype."""
-        grad_out = np.asarray(grad_out, dtype=self.dtype)
+        returns the gradient of the input."""
         if self.mode == "multi":
             # the aggregate is a plain sum, so each head sees the same gradient
             tap_grads = [head.backprop(grad_out) for head in self.heads]
@@ -341,7 +333,7 @@ class Model(Layer):
             n_out[layer] = out.size
 
         with self.hooked(observe), np.errstate(all="ignore"):
-            self.forward(np.zeros((1, c, h, w), dtype=self.dtype), training=False)
+            self.forward(np.zeros((1, c, h, w), dtype=np.float32), training=False)
 
         def cost(part: Layer) -> tuple[int, int]:
             params = sum(p.size for p in part.named_params().values())
@@ -355,14 +347,11 @@ class Model(Layer):
             p, f = costs[f"set{s.index}"]
             hp, hf = costs.get(f"head{s.index}", (0, 0))
             per_set.append((f"set{s.index}", p + hp, f + hf))
-        tops = [v for k, v in costs.items() if not k.startswith("set")]
-        convention = "1 MAC = 1 FLOP" if flop_mode == 1 else "1 MAC = 2 FLOPs"
         return ModelStats(params=sum(p for p, _ in costs.values()),
                           flops=sum(f for _, f in costs.values()),
                           per_set=per_set,
-                          classifier_params=sum(p for p, _ in tops),
-                          classifier_flops=sum(f for _, f in tops),
-                          input_shape=tuple(input_shape), flop_convention=convention)
+                          classifier_flops=sum(f for k, (_, f) in costs.items()
+                                               if not k.startswith("set")))
 
 
 # --------------------------------------------------------------------------
@@ -371,12 +360,14 @@ class Model(Layer):
 
 def build(spec: BackboneSpec, mode: str = "original", n_classes: int = 10,
           normalizer: str = "l2", hidden: Sequence[int] = (),
-          seed: int = 0, dtype=np.float32) -> Model:
+          seed: int = 0) -> Model:
     """Build a model from a backbone description.
 
     ``mode="original"`` appends one final classifier on the last feature;
     ``mode="multi"`` attaches one head per stage (all heads adapt to the
-    last stage's channel width) and sums their score vectors.
+    last stage's channel width) and sums their score vectors.  The model
+    is float32 and takes float32 inputs; ``model.astype(np.float64)``
+    casts it for the gradient checks.
     """
     if mode not in ("original", "multi"):
         raise ContractError(f"mode must be 'original' or 'multi', got {mode!r}")
@@ -386,17 +377,17 @@ def build(spec: BackboneSpec, mode: str = "original", n_classes: int = 10,
     sets = []
     ch = spec.in_channels
     for i, sspec in enumerate(spec.sets, start=1):
-        s = SetModule(i, ch, sspec, rng, dtype)
+        s = SetModule(i, ch, sspec, rng)
         sets.append(s)
         ch = s.out_channels
     target = sets[-1].out_channels
     if mode == "multi":
         heads = [ClassifierHead(t, s.out_channels, target, n_classes,
-                                normalizer=normalizer, rng=rng, dtype=dtype)
+                                normalizer=normalizer, rng=rng)
                  for t, s in enumerate(sets, start=1)]
-        return Model(spec, sets, "multi", heads, None, dtype)
-    classifier = OriginalClassifier(target, n_classes, hidden=hidden, rng=rng, dtype=dtype)
-    return Model(spec, sets, "original", None, classifier, dtype)
+        return Model(spec, sets, "multi", heads, None)
+    classifier = OriginalClassifier(target, n_classes, hidden=hidden, rng=rng)
+    return Model(spec, sets, "original", None, classifier)
 
 
 def _plain(ch: int, n: int, bn: bool) -> BlockSpec:
@@ -466,8 +457,8 @@ PRESETS = {
 
 def build_preset(name: str, mode: str = "original", n_classes: int = 10,
                  normalizer: str = "l2", hidden: Sequence[int] = (),
-                 seed: int = 0, dtype=np.float32) -> Model:
+                 seed: int = 0) -> Model:
     if name not in PRESETS:
         raise ContractError(f"unknown preset {name!r}; known: {sorted(PRESETS)}")
     return build(PRESETS[name](), mode=mode, n_classes=n_classes,
-                 normalizer=normalizer, hidden=hidden, seed=seed, dtype=dtype)
+                 normalizer=normalizer, hidden=hidden, seed=seed)

@@ -31,6 +31,10 @@ CIFAR10_TEST_FILES = ["test_batch.bin"]
 CIFAR100_TRAIN_FILES = ["train.bin"]
 CIFAR100_TEST_FILES = ["test.bin"]
 
+# random erasing draws its share of the image area, then its aspect ratio
+ERASE_AREA, ERASE_ASPECT = (0.02, 0.33), (0.3, 3.3)
+SYNTHETIC_NOISE = 0.25  # std of the Gaussian pixel noise on synthetic images
+
 
 @dataclass
 class Dataset:
@@ -141,8 +145,6 @@ class AugmentPolicy:
     mean: np.ndarray = field(default_factory=lambda: np.zeros(3, dtype=np.float32))
     std: np.ndarray = field(default_factory=lambda: np.ones(3, dtype=np.float32))
     erase_prob: float = 0.5
-    erase_area: tuple = (0.02, 0.33)
-    erase_aspect: tuple = (0.3, 3.3)
 
     def __post_init__(self):
         self.mean = np.asarray(self.mean, dtype=np.float32).reshape(3)
@@ -151,9 +153,6 @@ class AugmentPolicy:
             raise ContractError("probabilities must lie in [0,1]")
         if self.crop_pad < 0:
             raise ContractError("crop pad must be >= 0")
-        lo, hi = self.erase_area
-        if not (0.0 < lo <= hi < 1.0):
-            raise ContractError("erase area fractions must satisfy 0 < lo <= hi < 1")
         if np.any(self.std <= 0):
             raise ContractError("normalization std must be positive")
 
@@ -169,15 +168,15 @@ def normalize_image(pixels: np.ndarray, policy: AugmentPolicy) -> np.ndarray:
     return (pixels - policy.mean[:, None, None]) / policy.std[:, None, None]
 
 
-def sample_erase_box(h: int, w: int, policy: AugmentPolicy, rng: SeededRng):
+def sample_erase_box(h: int, w: int, rng: SeededRng):
     """Erasing-region sampler: draw area and aspect until the box fits.
 
     Returns (top, left, eh, ew) or None after 100 rejected draws.  The
     draw sequence is part of the augmentation contract so that the same
     rng stream always produces the same region.
     """
-    lo, hi = policy.erase_area
-    alo, ahi = policy.erase_aspect
+    lo, hi = ERASE_AREA
+    alo, ahi = ERASE_ASPECT
     for _ in range(100):
         area = rng.uniform(lo, hi, ()) * h * w
         aspect = rng.uniform(alo, ahi, ())
@@ -203,7 +202,7 @@ def augment(px: np.ndarray, policy: AugmentPolicy, rng: SeededRng) -> np.ndarray
         px = px[:, :, ::-1]
     px = normalize_image(px, policy)
     if policy.erase_prob > 0 and rng.random() < policy.erase_prob:
-        box = sample_erase_box(h, w, policy, rng)
+        box = sample_erase_box(h, w, rng)
         if box is not None:
             top, left, eh, ew = box
             noise = rng.uniform(0.0, 1.0, (c, eh, ew), dtype=px.dtype)
@@ -236,7 +235,7 @@ def normalize_batch(images: np.ndarray, policy: AugmentPolicy) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 def make_synthetic(kind: str, n_samples: int, n_classes: int, image_size: int,
-                   seed: int, noise: float = 0.25) -> Dataset:
+                   seed: int) -> Dataset:
     """Deterministic labeled images for desk-scale experiments."""
     if kind != "striped_patterns":
         raise ContractError(f"unknown synthetic kind {kind!r}")
@@ -247,11 +246,11 @@ def make_synthetic(kind: str, n_samples: int, n_classes: int, image_size: int,
         return Dataset(np.zeros(shape, np.float32), np.zeros(0, np.int64), n_classes)
     rng = SeededRng(seed, 31)
     labels = rng.integers(0, n_classes, (n_samples,)).astype(np.int64)
-    images = _striped_patterns(labels, n_classes, image_size, rng, noise)
+    images = _striped_patterns(labels, n_classes, image_size, rng)
     return Dataset(np.clip(images, 0.0, 1.0).astype(np.float32), labels, n_classes)
 
 
-def _striped_patterns(labels, n_classes, size, rng, noise):
+def _striped_patterns(labels, n_classes, size, rng):
     # each class is an oriented sinusoidal grating; phase and amplitude
     # jitter per sample keep the task convolutional rather than template
     yy, xx = np.meshgrid(np.arange(size), np.arange(size), indexing="ij")
@@ -267,6 +266,6 @@ def _striped_patterns(labels, n_classes, size, rng, noise):
                       * (xx * np.cos(theta) + yy * np.sin(theta)) / size + phases[i])
         base = 0.5 + 0.4 * amps[i] * wave
         images[i] = base[None, :, :]
-    images += rng.normal(0.0, noise, images.shape)
+    images += rng.normal(0.0, SYNTHETIC_NOISE, images.shape)
     return images
 

@@ -69,7 +69,7 @@ def _check(node: L.Layer, run: Callable[[np.ndarray], np.ndarray], x: np.ndarray
     Missing weights are uniform draws from ``SeededRng(*weight_stream)``.
     Params are perturbed in place, so they must be 64-bit."""
     if any(p.dtype != np.float64 for p in node.named_params().values()):
-        raise ContractError("gradient checks perturb params in place; build the node in float64")
+        raise ContractError("gradient checks perturb params in place; cast the node to float64")
     x = x.astype(np.float64)
     saved_buffers = {k: v.copy() for k, v in node.named_buffers().items()}
     try:
@@ -115,18 +115,18 @@ def check_layer(layer: L.Layer, x: np.ndarray, eps: float = DEFAULT_EPS,
 
 def _layer_zoo(rng: SeededRng) -> list[tuple[L.Layer, tuple]]:
     """Small 64-bit instances of every layer kind, paired with input shapes."""
-    f64 = np.float64
-    return [
-        (L.Conv2d(2, 3, 3, stride=1, pad=1, bias=True, rng=rng, dtype=f64), (2, 2, 5, 5)),
-        (L.Conv2d(3, 2, 3, stride=2, pad=1, bias=False, rng=rng, dtype=f64), (2, 3, 6, 6)),
-        (L.Conv2d(3, 4, 1, stride=1, pad=0, bias=False, rng=rng, dtype=f64), (2, 3, 4, 4)),
+    zoo = [
+        (L.Conv2d(2, 3, 3, stride=1, pad=1, bias=True, rng=rng), (2, 2, 5, 5)),
+        (L.Conv2d(3, 2, 3, stride=2, pad=1, bias=False, rng=rng), (2, 3, 6, 6)),
+        (L.Conv2d(3, 4, 1, stride=1, pad=0, bias=False, rng=rng), (2, 3, 4, 4)),
         (L.MaxPool2x2(), (2, 2, 6, 6)),
         (L.AdaptiveMaxPool(), (2, 3, 5, 7)),
-        (L.BatchNorm2d(3, dtype=f64), (4, 3, 4, 4)),
-        (L.Linear(6, 4, bias=True, rng=rng, dtype=f64), (3, 6)),
+        (L.BatchNorm2d(3), (4, 3, 4, 4)),
+        (L.Linear(6, 4, rng=rng), (3, 6)),
         (L.ReLU(), (2, 3, 4, 4)),
         (L.Softplus(), (3, 5)),
     ]
+    return [(layer.astype(np.float64), shape) for layer, shape in zoo]
 
 
 def check_all_layers(seed: int = 0, eps: float = DEFAULT_EPS,

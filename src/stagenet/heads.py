@@ -63,7 +63,7 @@ class ClassifierHead(Layer):
 
     def __init__(self, t: int, in_channels: int, target_channels: int,
                  n_classes: int, normalizer: str = "l2",
-                 rng: SeededRng | None = None, dtype=np.float32):
+                 rng: SeededRng | None = None):
         super().__init__()
         if n_classes < 2:
             raise ContractError("need at least 2 categories")
@@ -72,10 +72,10 @@ class ClassifierHead(Layer):
         self.target_channels = target_channels
         rng = rng if rng is not None else SeededRng(0)
         self.add("conv", Conv2d(in_channels, target_channels, 3, stride=1, pad=1,
-                                bias=False, rng=rng, dtype=dtype))
+                                bias=False, rng=rng))
         self.add("pool", AdaptiveMaxPool())
-        self.add("bn", BatchNorm2d(target_channels, dtype=dtype))
-        self.add("fc", Linear(target_channels, n_classes, bias=True, rng=rng, dtype=dtype))
+        self.add("bn", BatchNorm2d(target_channels))
+        self.add("fc", Linear(target_channels, n_classes, rng=rng))
         self.add("act", Softplus())
         self.add("norm", ScoreNorm(normalizer))
 

@@ -14,8 +14,10 @@ slices.  The im2col matrix is recomputed in backward, not cached (see
 (sample, channel), as behind a global max pool, takes
 ``Conv2d.backward_at`` instead: it reads only those windows.
 
-Weight init is fan-in-scaled uniform (bound sqrt(6/fan_in)) for conv and
-linear; batchnorm starts at gamma=1, beta=0.
+Every layer builds its params and buffers in float32.  ``Layer.astype``
+casts a built tree (float64 for the finite-difference checks).  Weight
+init is fan-in-scaled uniform (bound sqrt(6/fan_in)) for conv and linear;
+batchnorm starts at gamma=1, beta=0.
 
 Composites (``backbones``, ``heads``) are built from these layers with
 ``Layer.add``, which names each child once, in execution order.
@@ -64,7 +66,8 @@ class Layer:
     returns dx.
     Parameters, gradients, buffers and the training flag are reached by
     one walk, ``modules()``, under qualified names such as
-    ``set1.block0.conv0``.  A parent calls a child as ``child(x)`` and
+    ``set1.block0.conv0``; ``astype`` casts them all (every layer starts
+    in float32).  A parent calls a child as ``child(x)`` and
     ``child.backprop(g)``, which run ``forward``/``backward`` and then, in
     ``with root.hooked(fn):``, report ``fn(name, layer, "fwd", output)`` or
     ``fn(name, layer, "bwd", dx)`` in execution order.  Training is not
@@ -183,6 +186,17 @@ class Layer:
             for k, p in layer.params.items():
                 layer.grads[k] = np.zeros_like(p)
 
+    def astype(self, dtype) -> Layer:
+        """Cast every param and buffer of the tree to ``dtype`` and zero the
+        grads; returns self.  A buffer's key is its attribute name."""
+        for _, layer in self.modules():
+            for k, p in layer.params.items():
+                layer.params[k] = p.astype(dtype)
+            for k, v in layer.buffers().items():
+                setattr(layer, k, v.astype(dtype))
+        self.zero_grads()
+        return self
+
 
 class Conv2d(Layer):
     """k x k cross-correlation, k in {1, 3}, with optional bias.
@@ -207,7 +221,7 @@ class Conv2d(Layer):
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int = 3,
                  stride: int = 1, pad: int = 0, bias: bool = True,
-                 rng: SeededRng | None = None, dtype=np.float32):
+                 rng: SeededRng | None = None):
         super().__init__()
         if kernel_size not in (1, 3):
             raise ContractError(f"kernel size must be 1 or 3, got {kernel_size}")
@@ -221,9 +235,9 @@ class Conv2d(Layer):
         bound = np.sqrt(6.0 / fan_in)
         rng = rng if rng is not None else SeededRng(0)
         w = rng.uniform(-bound, bound, (out_channels, in_channels, kernel_size, kernel_size))
-        self.params["weight"] = w.astype(dtype)
+        self.params["weight"] = w.astype(np.float32)
         if bias:
-            self.params["bias"] = np.zeros(out_channels, dtype=dtype)
+            self.params["bias"] = np.zeros(out_channels, dtype=np.float32)
         self.zero_grads()
 
     def cost(self, n_out: int, flop_mode: int) -> int:
@@ -380,8 +394,9 @@ class BatchNorm2d(Layer):
 
     Train mode normalizes by batch statistics and moves the running
     statistics toward them by ``MOMENTUM``; eval mode is a pure function
-    of the running statistics.  Variance uses the 1/M convention both for
-    normalization and for the running buffer; ``EPS`` guards its root.
+    of the running statistics and leaves no cache, so it has no backward.
+    Variance uses the 1/M convention both for normalization and for the
+    running buffer; ``EPS`` guards its root.
 
     Each per-channel reduction (the mean, the centred second moment,
     dbeta, dgamma) views its operands as (B, C, H*W) rows and sums the
@@ -394,13 +409,13 @@ class BatchNorm2d(Layer):
     EPS = 1e-5
     MOMENTUM = 0.1
 
-    def __init__(self, channels: int, dtype=np.float32):
+    def __init__(self, channels: int):
         super().__init__()
         self.channels = channels
-        self.params["gamma"] = np.ones(channels, dtype=dtype)
-        self.params["beta"] = np.zeros(channels, dtype=dtype)
-        self.running_mean = np.zeros(channels, dtype=dtype)
-        self.running_var = np.ones(channels, dtype=dtype)
+        self.params["gamma"] = np.ones(channels, dtype=np.float32)
+        self.params["beta"] = np.zeros(channels, dtype=np.float32)
+        self.running_mean = np.zeros(channels, dtype=np.float32)
+        self.running_var = np.ones(channels, dtype=np.float32)
         self.zero_grads()
 
     def buffers(self):
@@ -424,10 +439,11 @@ class BatchNorm2d(Layer):
             invstd = 1.0 / np.sqrt(var + self.EPS)
             xc *= invstd[:, None]
             xhat = xc.reshape(x.shape)
+            self._cache = (xhat, invstd, m)
         else:
             invstd = 1.0 / np.sqrt(self.running_var + self.EPS)
             xhat = (x - self.running_mean.reshape(1, c, 1, 1)) * invstd.reshape(1, c, 1, 1)
-        self._cache = (xhat, invstd, m)
+            self._cache = None
         return gamma * xhat + beta
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
@@ -440,8 +456,6 @@ class BatchNorm2d(Layer):
         self.grads["beta"] += dbeta
         self.grads["gamma"] += dgamma
         gamma = self.params["gamma"]
-        if not self.training:
-            return grad_out * gamma.reshape(1, c, 1, 1) * invstd.reshape(1, c, 1, 1)
         # gamma*invstd * (g - mean(g) - xhat*mean(g*xhat)); the means are dbeta/m, dgamma/m
         dx = xh * (dgamma / m)[:, None]
         np.subtract(g, dx, out=dx)
@@ -457,17 +471,16 @@ class Linear(Layer):
 
     kind = "linear"
 
-    def __init__(self, in_features: int, out_features: int, bias: bool = True,
-                 rng: SeededRng | None = None, dtype=np.float32):
+    def __init__(self, in_features: int, out_features: int,
+                 rng: SeededRng | None = None):
         super().__init__()
         self.in_features = in_features
         self.out_features = out_features
         bound = np.sqrt(6.0 / in_features)
         rng = rng if rng is not None else SeededRng(0)
         w = rng.uniform(-bound, bound, (in_features, out_features))
-        self.params["weight"] = w.astype(dtype)
-        if bias:
-            self.params["bias"] = np.zeros(out_features, dtype=dtype)
+        self.params["weight"] = w.astype(np.float32)
+        self.params["bias"] = np.zeros(out_features, dtype=np.float32)
         self.zero_grads()
 
     def cost(self, n_out: int, flop_mode: int) -> int:
@@ -478,16 +491,12 @@ class Linear(Layer):
             raise ShapeError(f"linear: expected {self.in_features} features, got {x.shape}")
         flat = x.reshape(x.shape[0], self.in_features)
         self._cache = (flat, x.shape)
-        out = flat @ self.params["weight"]
-        if "bias" in self.params:
-            out = out + self.params["bias"]
-        return out
+        return flat @ self.params["weight"] + self.params["bias"]
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         flat, x_shape = self._need_cache()
         self.grads["weight"] += flat.T @ grad_out
-        if "bias" in self.params:
-            self.grads["bias"] += grad_out.sum(axis=0)
+        self.grads["bias"] += grad_out.sum(axis=0)
         return (grad_out @ self.params["weight"].T).reshape(x_shape)
 
 

@@ -216,7 +216,7 @@ def train_epoch(model: Model, optimizer: Adam, train_set: Dataset,
     total_seen = 0
     for i, (start, stop) in enumerate(_batch_slices(m, cfg.batch_size)):
         idx = perm[start:stop]
-        x = augment_batch(train_set, idx, policy, cfg.seed, epoch).astype(model.dtype)
+        x = augment_batch(train_set, idx, policy, cfg.seed, epoch)
         labels = train_set.labels[idx]
         out, _ = model.forward(x, training=True)
         loss, grad = scorenorm.batch_cross_entropy(out, labels)
@@ -247,7 +247,7 @@ def evaluate(model: Model, dataset: Dataset, policy: AugmentPolicy,
     correct = 0
     for i, start in enumerate(range(0, len(dataset), batch_size)):
         stop = min(start + batch_size, len(dataset))
-        x = normalize_batch(dataset.images[start:stop], policy).astype(model.dtype)
+        x = normalize_batch(dataset.images[start:stop], policy)
         labels = dataset.labels[start:stop]
         out, _ = model.forward(x, training=False)
         loss, _ = scorenorm.batch_cross_entropy(out, labels)

@@ -1,5 +1,8 @@
 """Backbone construction, forward contracts, and complexity accounting."""
 
+import inspect
+import zlib
+
 import numpy as np
 import pytest
 
@@ -166,7 +169,7 @@ class TestForward:
             assert np.array_equal(a[k], b[k]), k
 
     def test_aggregate_equals_manual_head_sum(self):
-        model = build_preset("mini_vgg", "multi", n_classes=5, dtype=np.float64)
+        model = build_preset("mini_vgg", "multi", n_classes=5).astype(np.float64)
         x = SeededRng(2).uniform(0, 1, (3, 3, 16, 16))
         agg, per_head = model.forward(x)
         manual = np.zeros_like(agg)
@@ -435,7 +438,7 @@ class TestCheckModel:
         spec = BackboneSpec("tiny", (
             SetSpec((BlockSpec("plain_conv", ((3, 2),), 1, batchnorm=True),), "pool"),
         ), in_channels=1)
-        model = build(spec, "multi", n_classes=2, dtype=np.float64)
+        model = build(spec, "multi", n_classes=2).astype(np.float64)
         assert sum(p.size for p in model.named_params().values()) == 68
         before = {k: v.copy() for k, v in model.named_buffers().items()}
         results = check_model(model, SeededRng(6).uniform(-1, 1, (3, 1, 6, 6)))
@@ -449,7 +452,7 @@ class TestCheckModel:
 
 class TestOriginalClassifier:
     def test_gradients_match_finite_differences(self):
-        clf = OriginalClassifier(5, 3, hidden=(7,), rng=SeededRng(8), dtype=np.float64)
+        clf = OriginalClassifier(5, 3, hidden=(7,), rng=SeededRng(8)).astype(np.float64)
         x = SeededRng(9).uniform(-2, 2, (3, 5, 3, 4))
         results = check_layer(clf, x)
         assert [r.name for r in results] == [
@@ -461,7 +464,7 @@ class TestOriginalClassifier:
 
 class TestConcatMerge:
     def test_concat_block_builds_and_backprops(self):
-        model = build(densey_spec(), "multi", n_classes=3, dtype=np.float64)
+        model = build(densey_spec(), "multi", n_classes=3).astype(np.float64)
         assert model.sets[0].out_channels == 6
         x = SeededRng(4).uniform(0, 1, (2, 3, 8, 8))
         out, _ = model.forward(x, training=True)
@@ -469,3 +472,51 @@ class TestConcatMerge:
         model.zero_grads()
         model.backward(np.ones_like(out))
         assert any(g.any() for g in model.named_grads().values())
+
+
+def layer_classes(cls=Layer):
+    """Every subclass of ``cls``, however deep."""
+    out = []
+    for sub in cls.__subclasses__():
+        out += [sub, *layer_classes(sub)]
+    return out
+
+
+class TestPrecision:
+    """Every layer is built in float32, and ``astype`` is the one way to cast."""
+
+    def test_no_layer_or_builder_takes_dtype(self):
+        classes = layer_classes()
+        assert {"Conv2d", "ClassifierHead", "SetModule", "Model"} <= {c.__name__ for c in classes}
+        for fn in [c.__init__ for c in classes] + [build, build_preset]:
+            assert "dtype" not in inspect.signature(fn).parameters, fn.__qualname__
+
+    def test_float64_and_back_restores_every_byte(self):
+        model = build_preset("mini_resnet", "multi", n_classes=N)
+        # one step moves the running stats off 0 and 1
+        one_training_step(model, SeededRng(2).uniform(0, 1, (2, 3, 16, 16), dtype=np.float32),
+                          np.array([1, 3]))
+
+        def state():
+            return {**model.named_params(), **model.named_buffers()}
+
+        before = state()
+        assert model.astype(np.float64) is model
+        assert {v.dtype for v in state().values()} == {np.dtype(np.float64)}
+        grads = model.named_grads().values()
+        assert all(g.dtype == np.float64 and not g.any() for g in grads)
+        model.astype(np.float32)
+        after = state()
+        assert after.keys() == before.keys()
+        for k, v in before.items():
+            assert after[k].dtype == np.float32 and after[k].tobytes() == v.tobytes(), k
+
+    @pytest.mark.parametrize("preset,mode,crc", [("mini_resnet", "multi", 0xD7C6776B),
+                                                 ("mini_vgg", "original", 0x810352EC)])
+    def test_initial_weights_are_pinned(self, preset, mode, crc):
+        # CRC32 over every param's name and bytes, in order; the Philox
+        # draws behind them do not depend on the BLAS or the host
+        got = 0
+        for name, p in build_preset(preset, mode, n_classes=N, seed=0).named_params().items():
+            got = zlib.crc32(p.tobytes(), zlib.crc32(name.encode(), got))
+        assert got == crc

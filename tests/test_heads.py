@@ -12,7 +12,7 @@ from stagenet.rng import SeededRng
 
 def make_head(normalizer="l2", dtype=np.float64, n_classes=4, in_ch=3, target=6):
     return ClassifierHead(1, in_ch, target, n_classes, normalizer=normalizer,
-                          rng=SeededRng(42), dtype=dtype)
+                          rng=SeededRng(42)).astype(dtype)
 
 
 class TestHeadForward:

@@ -34,7 +34,7 @@ class TestConvForward:
     def test_identity_kernel_reproduces_input(self):
         rng = SeededRng(1)
         x = rng.uniform(-1, 1, (2, 3, 5, 5))
-        conv = L.Conv2d(3, 3, 3, stride=1, pad=1, bias=False, dtype=np.float64)
+        conv = L.Conv2d(3, 3, 3, stride=1, pad=1, bias=False).astype(np.float64)
         w = np.zeros((3, 3, 3, 3))
         for c in range(3):
             w[c, c, 1, 1] = 1.0
@@ -42,7 +42,7 @@ class TestConvForward:
         np.testing.assert_allclose(conv.forward(x), x, atol=1e-15)
 
     def test_all_ones_kernel_sums_window(self):
-        conv = L.Conv2d(1, 1, 3, stride=1, pad=0, bias=False, dtype=np.float64)
+        conv = L.Conv2d(1, 1, 3, stride=1, pad=0, bias=False).astype(np.float64)
         conv.params["weight"] = np.ones((1, 1, 3, 3))
         out = conv.forward(np.ones((1, 1, 3, 3)))
         assert out.shape == (1, 1, 1, 1)
@@ -53,7 +53,7 @@ class TestConvForward:
         rng = SeededRng(2)
         x = rng.uniform(-2, 2, (2, 3, 5, 5))
         conv = L.Conv2d(3, 4, 3, stride=stride, pad=pad, bias=False,
-                        rng=SeededRng(3), dtype=np.float64)
+                        rng=SeededRng(3)).astype(np.float64)
         expected = naive_conv(x, conv.params["weight"], stride, pad)
         np.testing.assert_allclose(conv.forward(x), expected, atol=1e-10)
 
@@ -61,7 +61,7 @@ class TestConvForward:
         rng = SeededRng(4)
         x = rng.uniform(-2, 2, (2, 3, 4, 4))
         conv = L.Conv2d(3, 2, 1, stride=2, pad=0, bias=False,
-                        rng=SeededRng(5), dtype=np.float64)
+                        rng=SeededRng(5)).astype(np.float64)
         expected = naive_conv(x, conv.params["weight"], 2, 0)
         np.testing.assert_allclose(conv.forward(x), expected, atol=1e-12)
 
@@ -71,7 +71,7 @@ class TestConvForward:
             conv.forward(np.zeros((1, 2, 4, 4), dtype=np.float32))
 
     def test_pad1_stride1_preserves_extents(self):
-        conv = L.Conv2d(2, 5, 3, stride=1, pad=1, dtype=np.float64)
+        conv = L.Conv2d(2, 5, 3, stride=1, pad=1).astype(np.float64)
         for h, w in [(1, 1), (3, 7), (8, 8)]:
             out = conv.forward(np.zeros((1, 2, h, w)))
             assert out.shape == (1, 5, h, w)
@@ -79,7 +79,7 @@ class TestConvForward:
 
 class TestConvBackward:
     def test_zero_grad_out_gives_zero_grads(self):
-        conv = L.Conv2d(2, 3, 3, pad=1, rng=SeededRng(6), dtype=np.float64)
+        conv = L.Conv2d(2, 3, 3, pad=1, rng=SeededRng(6)).astype(np.float64)
         x = SeededRng(7).uniform(-1, 1, (2, 2, 4, 4))
         conv.forward(x)
         dx = conv.backward(np.zeros((2, 3, 4, 4)))
@@ -87,7 +87,7 @@ class TestConvBackward:
         assert not conv.grads["weight"].any()
 
     def test_identity_kernel_passes_grad_through(self):
-        conv = L.Conv2d(1, 1, 3, stride=1, pad=1, bias=False, dtype=np.float64)
+        conv = L.Conv2d(1, 1, 3, stride=1, pad=1, bias=False).astype(np.float64)
         w = np.zeros((1, 1, 3, 3))
         w[0, 0, 1, 1] = 1.0
         conv.params["weight"] = w
@@ -102,7 +102,7 @@ class TestConvBackward:
 
     def test_gradients_match_finite_differences(self):
         conv = L.Conv2d(2, 3, 3, stride=1, pad=1, bias=True,
-                        rng=SeededRng(10), dtype=np.float64)
+                        rng=SeededRng(10)).astype(np.float64)
         x = SeededRng(11).uniform(-1, 1, (2, 2, 5, 5))
         for res in check_layer(conv, x, eps=1e-5, tol=1e-6):
             assert res.passed, res.line()
@@ -115,7 +115,7 @@ class TestConvBackward:
         # odd, non-square input: at stride 2 the windows stop short of the
         # padded extent on some axes, so the col2im slices must too
         conv = L.Conv2d(3, 4, k, stride=stride, pad=pad, bias=bias,
-                        rng=SeededRng(12), dtype=np.float64)
+                        rng=SeededRng(12)).astype(np.float64)
         x = SeededRng(13).uniform(-1, 1, (2, 3, 7, 6))
         results = check_layer(conv, x, eps=1e-5, tol=1e-6)
         assert [r.name for r in results] == [f"{conv.kind}.{key}" for key in ("input", *conv.params)]
@@ -128,7 +128,7 @@ class TestConvBackward:
     @pytest.mark.parametrize("k", [1, 3])
     def test_backward_at_equals_dense_backward_of_its_sparse_grad(self, k, stride, pad, bias):
         conv = L.Conv2d(3, 4, k, stride=stride, pad=pad, bias=bias,
-                        rng=SeededRng(12), dtype=np.float64)
+                        rng=SeededRng(12)).astype(np.float64)
         x = SeededRng(13).uniform(-1, 1, (2, 3, 7, 6))
         y = conv.forward(x)
         cache = conv._cache
@@ -187,7 +187,7 @@ class TestBatchNorm:
     def test_train_mode_normalizes(self):
         rng = SeededRng(14)
         x = rng.uniform(-3, 7, (8, 3, 4, 4))
-        bn = L.BatchNorm2d(3, dtype=np.float64)
+        bn = L.BatchNorm2d(3).astype(np.float64)
         out = bn.forward(x)
         assert abs(out.mean(axis=(0, 2, 3))).max() < 1e-5
         np.testing.assert_allclose(out.var(axis=(0, 2, 3)), 1.0, atol=1e-4)
@@ -195,21 +195,21 @@ class TestBatchNorm:
     def test_affine_parameters_apply(self):
         rng = SeededRng(15)
         x = rng.uniform(-1, 1, (4, 2, 3, 3))
-        bn = L.BatchNorm2d(2, dtype=np.float64)
+        bn = L.BatchNorm2d(2).astype(np.float64)
         base = bn.forward(x).copy()
-        bn2 = L.BatchNorm2d(2, dtype=np.float64)
+        bn2 = L.BatchNorm2d(2).astype(np.float64)
         bn2.params["gamma"][:] = 2.0
         bn2.params["beta"][:] = 3.0
         np.testing.assert_allclose(bn2.forward(x), 2.0 * base + 3.0, atol=1e-10)
 
     def test_zero_variance_guarded_by_eps(self):
-        bn = L.BatchNorm2d(1, dtype=np.float64)
+        bn = L.BatchNorm2d(1).astype(np.float64)
         out = bn.forward(np.full((1, 1, 1, 1), 5.0))
         assert np.all(np.isfinite(out))
 
     def test_eval_mode_is_pure(self):
         rng = SeededRng(16)
-        bn = L.BatchNorm2d(2, dtype=np.float64)
+        bn = L.BatchNorm2d(2).astype(np.float64)
         for _ in range(5):
             bn.forward(rng.uniform(-1, 1, (4, 2, 3, 3)))  # accumulate running stats
         bn.set_training(False)
@@ -219,30 +219,32 @@ class TestBatchNorm:
         assert a.tobytes() == b.tobytes()
 
     def test_gradients_match_finite_differences(self):
-        bn = L.BatchNorm2d(3, dtype=np.float64)
+        bn = L.BatchNorm2d(3).astype(np.float64)
         x = SeededRng(17).uniform(-2, 2, (4, 3, 3, 3))
         for res in check_layer(bn, x, eps=1e-5, tol=1e-5):
             assert res.passed, res.line()
 
-    def test_eval_mode_gradients_match_finite_differences(self):
-        # a direct forward keeps its cache in eval mode too; only child(x) drops it
+    def test_eval_forward_leaves_no_cache_for_backward(self):
+        # an eval forward must not hand the previous training forward's
+        # cache to backward, even when called directly rather than as bn(x)
         rng = SeededRng(18)
-        bn = L.BatchNorm2d(3, dtype=np.float64)
-        bn.forward(rng.uniform(-1, 1, (4, 3, 3, 3)))  # move the running stats off 0 and 1
+        bn = L.BatchNorm2d(3)
+        bn.forward(rng.uniform(-1, 1, (4, 3, 3, 3), dtype=np.float32))
         bn.set_training(False)
-        for res in check_layer(bn, rng.uniform(-2, 2, (4, 3, 3, 3)), eps=1e-5, tol=1e-5):
-            assert res.passed, res.line()
+        bn.forward(rng.uniform(-2, 2, (4, 3, 3, 3), dtype=np.float32))
+        with pytest.raises(ContractError, match="without a new forward"):
+            bn.backward(np.ones((4, 3, 3, 3), dtype=np.float32))
 
 
 class TestLinear:
     def test_identity_weight(self):
-        lin = L.Linear(3, 3, bias=True, dtype=np.float64)
+        lin = L.Linear(3, 3).astype(np.float64)
         lin.params["weight"] = np.eye(3)
         x = SeededRng(18).uniform(-1, 1, (4, 3))
         np.testing.assert_allclose(lin.forward(x), x, atol=1e-15)
 
     def test_bias_applies(self):
-        lin = L.Linear(2, 2, bias=True, dtype=np.float64)
+        lin = L.Linear(2, 2).astype(np.float64)
         lin.params["weight"] = np.eye(2)
         lin.params["bias"] = np.array([5.0, 5.0])
         np.testing.assert_array_equal(lin.forward(np.array([[1.0, 1.0]])), [[6.0, 6.0]])
@@ -252,7 +254,7 @@ class TestLinear:
             L.Linear(3, 2).forward(np.zeros((1, 4), dtype=np.float32))
 
     def test_flattens_axes_after_the_batch(self):
-        lin = L.Linear(6, 2, bias=True, rng=SeededRng(27), dtype=np.float64)
+        lin = L.Linear(6, 2, rng=SeededRng(27)).astype(np.float64)
         x = SeededRng(28).uniform(-1, 1, (4, 3, 2, 1))
         out = lin.forward(x)
         assert out.tobytes() == lin.forward(x.reshape(4, 6)).tobytes()
@@ -264,7 +266,7 @@ class TestLinear:
             L.Linear(6, 2).forward(np.zeros((1, 7, 1, 1), dtype=np.float32))
 
     def test_gradients_match_finite_differences(self):
-        lin = L.Linear(5, 3, bias=True, rng=SeededRng(19), dtype=np.float64)
+        lin = L.Linear(5, 3, rng=SeededRng(19)).astype(np.float64)
         x = SeededRng(20).uniform(-1, 1, (4, 5))
         for res in check_layer(lin, x, eps=1e-5, tol=1e-7):
             assert res.passed, res.line()
@@ -310,8 +312,8 @@ class TestComposedBlock:
     def test_conv_bn_relu_pool_chain_gradient(self):
         """Composite gradient through a full small block, layer by layer."""
         rng = SeededRng(24)
-        conv = L.Conv2d(2, 4, 3, stride=1, pad=1, bias=False, rng=rng, dtype=np.float64)
-        bn = L.BatchNorm2d(4, dtype=np.float64)
+        conv = L.Conv2d(2, 4, 3, stride=1, pad=1, bias=False, rng=rng).astype(np.float64)
+        bn = L.BatchNorm2d(4).astype(np.float64)
         chain = [conv, bn, L.ReLU(), L.MaxPool2x2()]
         x = SeededRng(25).uniform(-1, 1, (3, 2, 6, 6))
         weights = SeededRng(26).uniform(-1, 1, (3, 4, 3, 3))
