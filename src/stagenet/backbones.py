@@ -254,25 +254,31 @@ class Model(Layer):
     """A built backbone plus its classifier(s); owns forward and backward.
 
     Its children are the stages ``set<i>``, then either the heads
-    ``head<t>`` (``multi`` mode) or one ``classifier`` (``original``).
+    ``head<t>`` (``multi`` mode, ``classifier`` None) or one
+    ``classifier`` (``original`` mode, ``heads`` None).
     Unlike the composites it holds, it lists them in its own ``children()``
     rather than with ``add``: its forward and backward index ``sets`` and
     ``heads`` by stage.
     """
 
-    def __init__(self, spec: BackboneSpec, sets: list[SetModule], mode: str,
+    def __init__(self, spec: BackboneSpec, sets: list[SetModule],
                  heads: list[ClassifierHead] | None,
                  classifier: OriginalClassifier | None):
         super().__init__()
         self.spec = spec
         self.sets = sets
-        self.mode = mode
         self.heads = heads
         self.classifier = classifier
 
     @property
     def n_sets(self) -> int:
         return len(self.sets)
+
+    @property
+    def param_dtype(self) -> np.dtype:
+        """The first stage's first param's dtype; ``astype`` casts every
+        param alike."""
+        return next(p.dtype for _, layer in self.sets[0].modules() for p in layer.params.values())
 
     def children(self):
         out = [(f"set{s.index}", s) for s in self.sets]
@@ -282,17 +288,21 @@ class Model(Layer):
 
     def forward(self, x: np.ndarray, training: bool = False):
         """Run the chain; returns (output, per_head) where per_head is None
-        in original mode.  Eval mode (training=False) is deterministic."""
+        in original mode.  Eval mode (training=False) is deterministic.
+        ``x`` must have the params' dtype (float32 unless ``astype`` cast
+        the model); it is not cast."""
         x = np.asarray(x)
         if x.ndim != 4 or x.shape[1] != self.spec.in_channels:
             raise ShapeError(
                 f"expected (B,{self.spec.in_channels},H,W) input, got {x.shape}")
+        if x.dtype != self.param_dtype:
+            raise ContractError(f"input dtype {x.dtype} != model param dtype {self.param_dtype}")
         self.set_training(training)
         taps = []
         for s in self.sets:
             x = s(x)
             taps.append(x)
-        if self.mode == "multi":
+        if self.heads is not None:
             per_head = [head(t) for head, t in zip(self.heads, taps)]
             return aggregate_scores(per_head), per_head
         return self.classifier(taps[-1]), None
@@ -300,7 +310,7 @@ class Model(Layer):
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         """Backpropagate from the model output gradient into all parameters;
         returns the gradient of the input."""
-        if self.mode == "multi":
+        if self.heads is not None:
             # the aggregate is a plain sum, so each head sees the same gradient
             tap_grads = [head.backprop(grad_out) for head in self.heads]
         else:
@@ -325,15 +335,13 @@ class Model(Layer):
         if flop_mode not in (1, 2):
             raise ContractError("flop_mode is 1 (MAC=1) or 2 (MAC=2)")
         b, c, h, w = input_shape
-        if c != self.spec.in_channels:
-            raise ShapeError(f"input channels {c} != spec {self.spec.in_channels}")
         n_out = {}
 
         def observe(name: str, layer: Layer, direction: str, out: np.ndarray):
             n_out[layer] = out.size
 
         with self.hooked(observe), np.errstate(all="ignore"):
-            self.forward(np.zeros((1, c, h, w), dtype=np.float32), training=False)
+            self.forward(np.zeros((1, c, h, w), dtype=self.param_dtype), training=False)
 
         def cost(part: Layer) -> tuple[int, int]:
             params = sum(p.size for p in part.named_params().values())
@@ -385,9 +393,9 @@ def build(spec: BackboneSpec, mode: str = "original", n_classes: int = 10,
         heads = [ClassifierHead(t, s.out_channels, target, n_classes,
                                 normalizer=normalizer, rng=rng)
                  for t, s in enumerate(sets, start=1)]
-        return Model(spec, sets, "multi", heads, None)
+        return Model(spec, sets, heads, None)
     classifier = OriginalClassifier(target, n_classes, hidden=hidden, rng=rng)
-    return Model(spec, sets, "original", None, classifier)
+    return Model(spec, sets, None, classifier)
 
 
 def _plain(ch: int, n: int, bn: bool) -> BlockSpec:

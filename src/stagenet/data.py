@@ -2,10 +2,15 @@
 
 CIFAR binary records are one label byte (or coarse+fine pair for the
 100-class variant) followed by 3072 channel-planar pixel bytes; decoded
-pixels live in [0,1].  The train-time augmentation order is pad-and-crop,
-horizontal flip, per-channel normalization, random erasing; evaluation
-applies the normalization only.  Channel statistics always come from the
-training split.
+pixels live in [0,1].  ``_LAYOUTS`` holds each variant's record layout
+and file lists.
+
+The train-time recipe is fixed: pad by ``CROP_PAD`` and crop back,
+flip horizontally with ``FLIP_PROB``, normalize per channel, then with
+``ERASE_PROB`` erase a box drawn from ``ERASE_AREA`` and ``ERASE_ASPECT``.
+Evaluation applies the normalization only.  ``normalize_batch`` is the one
+normalizer, for images, batches and the erase fill alike; the channel
+statistics it uses (``AugmentPolicy``) always come from the training split.
 
 The synthetic dataset for deterministic desk-scale runs,
 ``striped_patterns``, assigns each class an oriented grating that only
@@ -24,14 +29,21 @@ from .rng import SeededRng
 
 CIFAR_PIXELS = 3072
 CIFAR10_RECORD = 1 + CIFAR_PIXELS
-CIFAR100_RECORD = 2 + CIFAR_PIXELS
-
 CIFAR10_TRAIN_FILES = [f"data_batch_{i}.bin" for i in range(1, 6)]
 CIFAR10_TEST_FILES = ["test_batch.bin"]
-CIFAR100_TRAIN_FILES = ["train.bin"]
-CIFAR100_TEST_FILES = ["test.bin"]
 
-# random erasing draws its share of the image area, then its aspect ratio
+# variant: (record bytes, classes, label offset, (train files, records per
+# file), (test files, records per file)); the 100-class record puts its
+# coarse label byte before the fine one
+_LAYOUTS = {
+    "cifar10": (CIFAR10_RECORD, 10, 0, (CIFAR10_TRAIN_FILES, 10000),
+                (CIFAR10_TEST_FILES, 10000)),
+    "cifar100-fine": (2 + CIFAR_PIXELS, 100, 1, (["train.bin"], 50000), (["test.bin"], 10000)),
+}
+
+# the augmentation recipe: crop padding, flip and erase probabilities, and
+# the erased box's share of the image area, then its aspect ratio
+CROP_PAD, FLIP_PROB, ERASE_PROB = 4, 0.5, 0.5
 ERASE_AREA, ERASE_ASPECT = (0.02, 0.33), (0.3, 3.3)
 SYNTHETIC_NOISE = 0.25  # std of the Gaussian pixel noise on synthetic images
 
@@ -51,18 +63,19 @@ class Dataset:
         return Dataset(self.images[idx], self.labels[idx], self.n_classes)
 
 
+def _layout(variant: str) -> tuple:
+    if variant not in _LAYOUTS:
+        raise ContractError(f"unknown variant {variant!r}")
+    return _LAYOUTS[variant]
+
+
 def parse_cifar_records(buf: bytes, variant: str) -> Dataset:
     """Decode a raw CIFAR batch buffer into a Dataset.
 
     The buffer must be a whole number of records; the fine label is used
     for the 100-class variant and any label byte >= N is a data error.
     """
-    if variant == "cifar10":
-        rec, n_classes, label_off = CIFAR10_RECORD, 10, 0
-    elif variant == "cifar100-fine":
-        rec, n_classes, label_off = CIFAR100_RECORD, 100, 1
-    else:
-        raise ContractError(f"unknown variant {variant!r}")
+    rec, n_classes, label_off, _, _ = _layout(variant)
     if len(buf) == 0 or len(buf) % rec != 0:
         expected = (len(buf) // rec + 1) * rec if len(buf) else rec
         raise FormatError(
@@ -80,21 +93,17 @@ def parse_cifar_records(buf: bytes, variant: str) -> Dataset:
 
 def encode_cifar_records(dataset: Dataset, variant: str) -> bytes:
     """Inverse of ``parse_cifar_records`` (coarse byte written as 0)."""
+    label_off = _layout(variant)[2]
     n = len(dataset)
     pixels = np.round(dataset.images * 255.0).astype(np.uint8).reshape(n, CIFAR_PIXELS)
     labels = dataset.labels.astype(np.uint8).reshape(n, 1)
-    if variant == "cifar10":
-        rows = np.concatenate([labels, pixels], axis=1)
-    elif variant == "cifar100-fine":
-        rows = np.concatenate([np.zeros_like(labels), labels, pixels], axis=1)
-    else:
-        raise ContractError(f"unknown variant {variant!r}")
-    return rows.tobytes()
+    coarse = np.zeros((n, label_off), dtype=np.uint8)
+    return np.concatenate([coarse, labels, pixels], axis=1).tobytes()
 
 
 def _load_files(root: str, names: list[str], variant: str, expect_each: int) -> Dataset:
+    rec = _layout(variant)[0]
     parts = []
-    rec = CIFAR10_RECORD if variant == "cifar10" else CIFAR100_RECORD
     for name in names:
         path = os.path.join(root, name)
         if not os.path.exists(path):
@@ -116,21 +125,13 @@ def load_cifar(path: str, variant: str = "cifar10"):
 
     Returns (train, test) with 50000/10000 images scaled into [0,1].
     """
-    if variant == "cifar10":
-        train = _load_files(path, CIFAR10_TRAIN_FILES, variant, 10000)
-        test = _load_files(path, CIFAR10_TEST_FILES, variant, 10000)
-    elif variant == "cifar100-fine":
-        train = _load_files(path, CIFAR100_TRAIN_FILES, variant, 50000)
-        test = _load_files(path, CIFAR100_TEST_FILES, variant, 10000)
-    else:
-        raise ContractError(f"unknown variant {variant!r}")
-    return train, test
+    *_, train, test = _layout(variant)
+    return tuple(_load_files(path, names, variant, each) for names, each in (train, test))
 
 
 def cifar_available(path: str, variant: str = "cifar10") -> bool:
-    names = (CIFAR10_TRAIN_FILES + CIFAR10_TEST_FILES if variant == "cifar10"
-             else CIFAR100_TRAIN_FILES + CIFAR100_TEST_FILES)
-    return bool(path) and all(os.path.exists(os.path.join(path, n)) for n in names)
+    *_, (train, _), (test, _) = _layout(variant)
+    return bool(path) and all(os.path.exists(os.path.join(path, n)) for n in train + test)
 
 
 # --------------------------------------------------------------------------
@@ -139,20 +140,16 @@ def cifar_available(path: str, variant: str = "cifar10") -> bool:
 
 @dataclass
 class AugmentPolicy:
-    """Train-time augmentation parameters; construction validates ranges."""
-    crop_pad: int = 4
-    flip_prob: float = 0.5
+    """The per-channel normalization statistics, stored as float32 (3,);
+    ``std`` must be positive.  The rest of the recipe is the module
+    constants ``CROP_PAD``, ``FLIP_PROB``, ``ERASE_PROB``, ``ERASE_AREA``
+    and ``ERASE_ASPECT``."""
     mean: np.ndarray = field(default_factory=lambda: np.zeros(3, dtype=np.float32))
     std: np.ndarray = field(default_factory=lambda: np.ones(3, dtype=np.float32))
-    erase_prob: float = 0.5
 
     def __post_init__(self):
         self.mean = np.asarray(self.mean, dtype=np.float32).reshape(3)
         self.std = np.asarray(self.std, dtype=np.float32).reshape(3)
-        if not (0.0 <= self.flip_prob <= 1.0 and 0.0 <= self.erase_prob <= 1.0):
-            raise ContractError("probabilities must lie in [0,1]")
-        if self.crop_pad < 0:
-            raise ContractError("crop pad must be >= 0")
         if np.any(self.std <= 0):
             raise ContractError("normalization std must be positive")
 
@@ -164,8 +161,11 @@ def channel_stats(images: np.ndarray):
     return mean.astype(np.float32), std.astype(np.float32)
 
 
-def normalize_image(pixels: np.ndarray, policy: AugmentPolicy) -> np.ndarray:
-    return (pixels - policy.mean[:, None, None]) / policy.std[:, None, None]
+def normalize_batch(images: np.ndarray, policy: AugmentPolicy) -> np.ndarray:
+    """``(images - mean) / std`` per channel for any (..., 3, H, W); a new
+    float32 array."""
+    return ((images - policy.mean[:, None, None])
+            / policy.std[:, None, None]).astype(np.float32, copy=False)
 
 
 def sample_erase_box(h: int, w: int, rng: SeededRng):
@@ -192,24 +192,21 @@ def sample_erase_box(h: int, w: int, rng: SeededRng):
 def augment(px: np.ndarray, policy: AugmentPolicy, rng: SeededRng) -> np.ndarray:
     """Pad-and-crop, flip, normalize, erase one (3,H,W) image; shape kept."""
     c, h, w = px.shape
-    if policy.crop_pad > 0:
-        p = policy.crop_pad
-        padded = np.pad(px, ((0, 0), (p, p), (p, p)))
-        top = int(rng.integers(0, 2 * p + 1))
-        left = int(rng.integers(0, 2 * p + 1))
-        px = padded[:, top:top + h, left:left + w]
-    if policy.flip_prob > 0 and rng.random() < policy.flip_prob:
+    p = CROP_PAD
+    padded = np.pad(px, ((0, 0), (p, p), (p, p)))
+    top = int(rng.integers(0, 2 * p + 1))
+    left = int(rng.integers(0, 2 * p + 1))
+    px = padded[:, top:top + h, left:left + w]
+    if rng.random() < FLIP_PROB:
         px = px[:, :, ::-1]
-    px = normalize_image(px, policy)
-    if policy.erase_prob > 0 and rng.random() < policy.erase_prob:
+    px = normalize_batch(px, policy)  # a new array, so erasing writes into it
+    if rng.random() < ERASE_PROB:
         box = sample_erase_box(h, w, rng)
         if box is not None:
             top, left, eh, ew = box
-            noise = rng.uniform(0.0, 1.0, (c, eh, ew), dtype=px.dtype)
-            px = px.copy()
-            px[:, top:top + eh, left:left + ew] = (
-                (noise - policy.mean[:, None, None]) / policy.std[:, None, None])
-    return np.ascontiguousarray(px, dtype=np.float32)
+            noise = rng.uniform(0.0, 1.0, (c, eh, ew), dtype=np.float32)
+            px[:, top:top + eh, left:left + ew] = normalize_batch(noise, policy)
+    return px
 
 
 def augment_batch(dataset: Dataset, indices: np.ndarray, policy: AugmentPolicy,
@@ -223,11 +220,6 @@ def augment_batch(dataset: Dataset, indices: np.ndarray, policy: AugmentPolicy,
         stream = base.split(epoch * m + int(idx))
         out[row] = augment(dataset.images[int(idx)], policy, stream)
     return out
-
-
-def normalize_batch(images: np.ndarray, policy: AugmentPolicy) -> np.ndarray:
-    return ((images - policy.mean[None, :, None, None])
-            / policy.std[None, :, None, None]).astype(np.float32)
 
 
 # --------------------------------------------------------------------------

@@ -29,9 +29,8 @@ class SeededRng:
         out = self._gen.uniform(low, high, size=shape)
         return np.asarray(out, dtype=dtype)
 
-    def normal(self, mean: float, std: float, shape=None, dtype=np.float64) -> np.ndarray:
-        out = self._gen.normal(mean, std, size=shape)
-        return np.asarray(out, dtype=dtype)
+    def normal(self, mean: float, std: float, shape=None) -> np.ndarray:
+        return np.asarray(self._gen.normal(mean, std, size=shape))
 
     def integers(self, low: int, high: int, shape=None) -> np.ndarray:
         return self._gen.integers(low, high, size=shape)

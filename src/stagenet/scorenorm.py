@@ -6,9 +6,10 @@ Two normalizers map a per-category score vector to comparable magnitudes:
 * ``l2_score`` -- L2 normalization of sqrt(exp(x)), which simplifies to
   L_i = sqrt(S_i), so the squared outputs sum to one.
 
-Both are computed with max-subtraction so large scores cannot overflow,
-and both reject non-finite scores with ``DomainError``; the ``*_unchecked``
-kernels that ``heads.ScoreNorm`` runs skip that check.
+Both normalize the last axis, so a batch is a (B, N) array of score
+rows.  Both are computed with max-subtraction so large scores cannot
+overflow, and both reject non-finite scores with ``DomainError``; the
+``*_unchecked`` kernels that ``heads.ScoreNorm`` runs skip that check.
 The ``*_partial`` functions are the off-diagonal partial derivatives in
 their published closed form (callers that backpropagate should use the
 full Jacobians instead).  ``convergence_condition`` tests the regime in
@@ -34,26 +35,26 @@ def _check_scores(x) -> np.ndarray:
     return x
 
 
-def softmax_unchecked(x: np.ndarray, axis: int = -1) -> np.ndarray:
+def softmax_unchecked(x: np.ndarray) -> np.ndarray:
     """``softmax`` without its input checks; non-finite in, non-finite out."""
-    shifted = x - np.max(x, axis=axis, keepdims=True)
+    shifted = x - np.max(x, axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / np.sum(e, axis=axis, keepdims=True)
+    return e / np.sum(e, axis=-1, keepdims=True)
 
 
-def l2_score_unchecked(x: np.ndarray, axis: int = -1) -> np.ndarray:
+def l2_score_unchecked(x: np.ndarray) -> np.ndarray:
     """``l2_score`` without the input checks."""
-    return np.sqrt(softmax_unchecked(x, axis=axis))
+    return np.sqrt(softmax_unchecked(x))
 
 
-def softmax(x, axis: int = -1) -> np.ndarray:
-    """Stabilized softmax along ``axis``; rows sum to 1, entries in (0,1)."""
-    return softmax_unchecked(_check_scores(x), axis=axis)
+def softmax(x) -> np.ndarray:
+    """Stabilized softmax of each row; rows sum to 1, entries in (0,1)."""
+    return softmax_unchecked(_check_scores(x))
 
 
-def l2_score(x, axis: int = -1) -> np.ndarray:
-    """Square root of softmax; the squared entries sum to 1 along ``axis``."""
-    return l2_score_unchecked(_check_scores(x), axis=axis)
+def l2_score(x) -> np.ndarray:
+    """Square root of softmax; the squared entries of each row sum to 1."""
+    return l2_score_unchecked(_check_scores(x))
 
 
 def softmax_partial(x, i: int, j: int) -> float:

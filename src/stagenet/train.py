@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import os
 import struct
-import time
 import zlib
 from dataclasses import asdict, dataclass, field
 
@@ -65,21 +64,13 @@ class EpochRow:
     loss: float
     accuracy: float
     lr: float
-    seconds: float
 
 
 @dataclass
 class RunMetrics:
-    """Per-epoch rows plus the best test accuracy and when it happened."""
+    """One ``EpochRow`` per split and epoch: each epoch's train row, then
+    its test row."""
     rows: list = field(default_factory=list)
-    best_test_accuracy: float = 0.0
-    best_epoch: int = 0
-
-    def add(self, row: EpochRow):
-        self.rows.append(row)
-        if row.split == "test" and row.accuracy > self.best_test_accuracy:
-            self.best_test_accuracy = row.accuracy
-            self.best_epoch = row.epoch
 
 
 class Adam(object):
@@ -274,16 +265,13 @@ def run_training(model: Model, train_set: Dataset, test_set: Dataset,
                                               cfg.scheduler_threshold, cfg.min_lr)
     metrics = RunMetrics()
     for epoch in range(start_epoch, cfg.epochs + 1):
-        tic = time.perf_counter()
         optimizer.lr = scheduler.lr
         train_loss, train_acc = train_epoch(model, optimizer, train_set, cfg, policy, epoch)
         lr_used = scheduler.lr
         scheduler.update(train_loss)
-        test_loss, test_acc = evaluate(model, test_set, policy,
-                                       batch_size=max(cfg.batch_size, 2))
-        secs = time.perf_counter() - tic
-        metrics.add(EpochRow(epoch, "train", train_loss, train_acc, lr_used, secs))
-        metrics.add(EpochRow(epoch, "test", test_loss, test_acc, lr_used, secs))
+        test_loss, test_acc = evaluate(model, test_set, policy, batch_size=cfg.batch_size)
+        metrics.rows += [EpochRow(epoch, "train", train_loss, train_acc, lr_used),
+                         EpochRow(epoch, "test", test_loss, test_acc, lr_used)]
         if checkpoint_path is not None:
             save_checkpoint(checkpoint_path, model, optimizer, scheduler,
                             cfg, epoch + 1)

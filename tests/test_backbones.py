@@ -511,6 +511,23 @@ class TestPrecision:
         for k, v in before.items():
             assert after[k].dtype == np.float32 and after[k].tobytes() == v.tobytes(), k
 
+    @pytest.mark.parametrize("mode", ["original", "multi"])
+    def test_input_of_another_dtype_rejected(self, mode):
+        model = build_preset("mini_cnn", mode, n_classes=N)
+        x = np.zeros((2, 3, 8, 8))
+        with pytest.raises(ContractError, match="input dtype float64 != model param dtype float32"):
+            model.forward(x)
+        model.astype(np.float64)
+        with pytest.raises(ContractError, match="input dtype float32 != model param dtype float64"):
+            model.forward(x.astype(np.float32))
+        assert model.forward(x)[0].dtype == np.float64
+
+    @pytest.mark.parametrize("mode", ["original", "multi"])
+    def test_float64_model_counts_as_float32(self, mode):
+        model = build_preset("mini_resnet", mode, n_classes=N)
+        expected = model.count_stats((2, 3, 16, 16))
+        assert model.astype(np.float64).count_stats((2, 3, 16, 16)) == expected
+
     @pytest.mark.parametrize("preset,mode,crc", [("mini_resnet", "multi", 0xD7C6776B),
                                                  ("mini_vgg", "original", 0x810352EC)])
     def test_initial_weights_are_pinned(self, preset, mode, crc):

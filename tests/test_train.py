@@ -6,12 +6,13 @@ from a checkpoint continues bit-exactly; and a model and its optimizer
 restore only from a complete, exact file, while a failed save keeps the
 previous one."""
 
+import inspect
 import json
 import os
 import re
 import struct
 import zlib
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -20,18 +21,34 @@ import pytest
 import stagenet.scorenorm
 import stagenet.train
 from stagenet import build_preset
+from stagenet.backbones import Model
 from stagenet.data import AugmentPolicy, make_synthetic
 from stagenet.errors import ContractError, FormatError, NumericsError, ShapeError
 from stagenet.rng import SeededRng
-from stagenet.train import (Adam, PlateauScheduler, TrainConfig, evaluate, load_checkpoint,
-                            restore_model, restore_optimizer, run_training, save_checkpoint,
-                            train_epoch)
+from stagenet.train import (Adam, EpochRow, PlateauScheduler, RunMetrics, TrainConfig, evaluate,
+                            load_checkpoint, restore_model, restore_optimizer, run_training,
+                            save_checkpoint, train_epoch)
 
 POLICY = AugmentPolicy()
 
 
 def tiny_data(n, seed):
     return make_synthetic("striped_patterns", n, 4, 8, seed=seed)
+
+
+def test_options_with_one_value_in_use_are_gone():
+    # the augmentation recipe is module constants, scores normalize the last
+    # axis, and the model's mode is whether it has heads
+    assert [f.name for f in fields(AugmentPolicy)] == ["mean", "std"]
+    sn = stagenet.scorenorm
+    for fn in (sn.softmax, sn.l2_score, sn.softmax_unchecked, sn.l2_score_unchecked):
+        assert "axis" not in inspect.signature(fn).parameters, fn.__name__
+    assert "dtype" not in inspect.signature(SeededRng.normal).parameters
+    assert "mode" not in inspect.signature(Model).parameters
+    assert not hasattr(build_preset("mini_cnn", "multi", n_classes=4), "mode")
+    assert "seconds" not in {f.name for f in fields(EpochRow)}
+    assert [f.name for f in fields(RunMetrics)] == ["rows"]
+    assert not hasattr(RunMetrics, "add")
 
 
 class TestNumerics:
