@@ -21,8 +21,8 @@ scaled by the batch size:
   normalizer): one op per output element.
 
 A multiply-accumulate counts as one FLOP by default and as two with
-``flop_mode=2``.  Work done outside a layer (the residual add, the
-channel concat, the head-score sum) is not counted.
+``flop_mode=2``.  Work done outside a layer (the residual add and the
+head-score sum) is not counted.
 
 Every composite below the model declares its children with ``Layer.add``
 in execution order, so a child's attribute name is its name in
@@ -32,16 +32,16 @@ in execution order, so a child's attribute name is its name in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import Literal, Sequence, get_args
 
 import numpy as np
 
 from .errors import BuildError, ContractError, ShapeError
-from .heads import ClassifierHead, aggregate_scores
+from .heads import NORMALIZERS, ClassifierHead, aggregate_scores
 from .layers import AdaptiveMaxPool, BatchNorm2d, Conv2d, Layer, Linear, MaxPool2x2, ReLU
 from .rng import SeededRng
 
-BlockKind = Literal["plain_conv", "residual_basic", "concat_merge"]
+BlockKind = Literal["plain_conv", "residual_basic"]
 Reduction = Literal["pool", "stride", "none"]
 
 
@@ -158,37 +158,9 @@ class ResidualBlock(Layer):
         self.out_channels = ch
 
 
-class ConcatMergeBlock(Layer):
-    """Dense-style merge: output is [input, body(input)] along channels.
-
-    Expressive enough for dense-block grammars; no built-in preset uses it.
-    """
-
-    def __init__(self, in_channels: int, spec: BlockSpec, stride_first: int,
-                 rng: SeededRng):
-        super().__init__()
-        if stride_first != 1:
-            raise BuildError("concat_merge does not take a stage stride")
-        self.in_channels = in_channels
-        self.add("body", PlainConvBlock(in_channels, spec, 1, rng))
-        self.out_channels = in_channels + self.body.out_channels
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        y = self.body(x)
-        if y.shape[2:] != x.shape[2:]:
-            raise BuildError("concat_merge body must preserve spatial extents")
-        return np.concatenate([x, y], axis=1)
-
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        gx = grad[:, :self.in_channels]
-        gy = grad[:, self.in_channels:]
-        return np.ascontiguousarray(gx) + self.body.backprop(np.ascontiguousarray(gy))
-
-
 _BLOCK_BUILDERS = {
     "plain_conv": PlainConvBlock,
     "residual_basic": ResidualBlock,
-    "concat_merge": ConcatMergeBlock,
 }
 
 
@@ -197,6 +169,8 @@ class SetModule(Layer):
 
     def __init__(self, index: int, in_channels: int, spec: SetSpec, rng: SeededRng):
         super().__init__()
+        if spec.reduction not in get_args(Reduction):
+            raise BuildError(f"unknown reduction {spec.reduction!r}")
         self.index = index
         ch = in_channels
         stride_first = 2 if spec.reduction == "stride" else 1
@@ -222,13 +196,13 @@ class OriginalClassifier(Layer):
     a plain chain, whose first linear flattens the pooled (B,C,1,1) feature.
 
     ``hidden`` inserts intermediate linear+relu widths (e.g. (4096, 4096)
-    for the published VGG16 stack); the default is a single linear map.
+    for the published VGG16 stack); an empty ``hidden`` gives a single
+    linear map.
     """
 
-    def __init__(self, in_channels: int, n_classes: int, hidden: Sequence[int] = (),
-                 rng: SeededRng | None = None):
+    def __init__(self, in_channels: int, n_classes: int, hidden: Sequence[int],
+                 rng: SeededRng):
         super().__init__()
-        rng = rng if rng is not None else SeededRng(0)
         self.add("pool", AdaptiveMaxPool())
         widths = [in_channels, *hidden, n_classes]
         for i, (w_in, w_out) in enumerate(zip(widths, widths[1:])):
@@ -373,12 +347,18 @@ def build(spec: BackboneSpec, mode: str = "original", n_classes: int = 10,
 
     ``mode="original"`` appends one final classifier on the last feature;
     ``mode="multi"`` attaches one head per stage (all heads adapt to the
-    last stage's channel width) and sums their score vectors.  The model
-    is float32 and takes float32 inputs; ``model.astype(np.float64)``
-    casts it for the gradient checks.
+    last stage's channel width) and sums their score vectors.  Both modes
+    reject ``n_classes < 2`` and an unknown ``normalizer``, though only
+    heads use it.  The model is float32 and takes float32 inputs;
+    ``model.astype(np.float64)`` casts it for the gradient checks.
     """
     if mode not in ("original", "multi"):
         raise ContractError(f"mode must be 'original' or 'multi', got {mode!r}")
+    if n_classes < 2:
+        raise ContractError("need at least 2 categories")
+    if normalizer not in NORMALIZERS:
+        raise ContractError(
+            f"normalizer must be one of {tuple(NORMALIZERS)}, got {normalizer!r}")
     if spec.n_sets < 1:
         raise BuildError("backbone needs at least one set")
     rng = SeededRng(seed, 1000)

@@ -104,13 +104,13 @@ def _check(node: L.Layer, run: Callable[[np.ndarray], np.ndarray], x: np.ndarray
 
 
 def check_layer(layer: L.Layer, x: np.ndarray, eps: float = DEFAULT_EPS,
-                tol: float = DEFAULT_TOL, name: str | None = None,
+                tol: float = DEFAULT_TOL,
                 loss_weights: np.ndarray | None = None) -> list[CheckResult]:
     """Check any node, leaf or composite, on ``layer.forward``: one result
     for the input, then one per ``named_params()`` entry, named
-    ``<name or kind>.<key>``; ``loss_weights`` default to fixed random draws."""
+    ``<kind>.<key>``; ``loss_weights`` default to fixed random draws."""
     return _check(layer, layer.forward, x, loss_weights, (99, 7), eps, tol,
-                  f"{name or layer.kind}.")
+                  f"{layer.kind}.")
 
 
 def _layer_zoo(rng: SeededRng) -> list[tuple[L.Layer, tuple]]:
@@ -129,21 +129,19 @@ def _layer_zoo(rng: SeededRng) -> list[tuple[L.Layer, tuple]]:
     return [(layer.astype(np.float64), shape) for layer, shape in zoo]
 
 
-def check_all_layers(seed: int = 0, eps: float = DEFAULT_EPS,
-                     tol: float = DEFAULT_TOL) -> list[CheckResult]:
+def check_all_layers(seed: int = 0, tol: float = DEFAULT_TOL) -> list[CheckResult]:
     """Gradient-check one instance of every layer kind on random data."""
     rng = SeededRng(seed, 1)
     data_rng = SeededRng(seed, 2)
     results = []
     for layer, shape in _layer_zoo(rng):
         x = data_rng.uniform(-2.0, 2.0, shape)
-        results.extend(check_layer(layer, x, eps=eps, tol=tol))
+        results.extend(check_layer(layer, x, tol=tol))
     return results
 
 
-def check_model(model, x: np.ndarray, eps: float = DEFAULT_EPS,
-                tol: float = DEFAULT_TOL) -> list[CheckResult]:
+def check_model(model, x: np.ndarray) -> list[CheckResult]:
     """Check a model on its training-mode aggregate output, weighted by
     fixed random draws: results ``input`` and one per parameter name."""
     return _check(model, lambda xv: model.forward(xv, training=True)[0], x,
-                  None, (7, 11), eps, tol, "")
+                  None, (7, 11), DEFAULT_EPS, DEFAULT_TOL, "")

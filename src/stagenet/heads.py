@@ -36,7 +36,7 @@ class ScoreNorm(Layer):
     softmax itself.  Unchecked like every layer: the training loop names
     the first non-finite output (``NumericsError``)."""
 
-    def __init__(self, normalizer: str = "l2"):
+    def __init__(self, normalizer: str):
         super().__init__()
         if normalizer not in NORMALIZERS:
             raise ContractError(
@@ -62,15 +62,12 @@ class ClassifierHead(Layer):
     """
 
     def __init__(self, t: int, in_channels: int, target_channels: int,
-                 n_classes: int, normalizer: str = "l2",
-                 rng: SeededRng | None = None):
+                 n_classes: int, normalizer: str, rng: SeededRng):
         super().__init__()
         if n_classes < 2:
             raise ContractError("need at least 2 categories")
         self.t = t
         self.in_channels = in_channels
-        self.target_channels = target_channels
-        rng = rng if rng is not None else SeededRng(0)
         self.add("conv", Conv2d(in_channels, target_channels, 3, stride=1, pad=1,
                                 bias=False, rng=rng))
         self.add("pool", AdaptiveMaxPool())

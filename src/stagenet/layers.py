@@ -59,11 +59,10 @@ class Layer:
     ``children()``.  Its forward runs the children in that order and its
     backward runs them reversed.
     Composites override forward/backward only where the graph branches
-    (``_ResidualUnit``, ``ConcatMergeBlock``, ``Model``) or where a child's
-    gradient is known to be sparse (``ClassifierHead``'s backward), and
-    forward only to name themselves in shape errors (``SetModule``,
-    ``ClassifierHead``); they keep the default ``kind``.  Every backward
-    returns dx.
+    (``_ResidualUnit`` and ``Model``) or where a child's gradient is known
+    to be sparse (``ClassifierHead``'s backward), and forward only to name
+    themselves in shape errors (``SetModule``, ``ClassifierHead``); they
+    keep the default ``kind``.  Every backward returns dx.
     Parameters, gradients, buffers and the training flag are reached by
     one walk, ``modules()``, under qualified names such as
     ``set1.block0.conv0``; ``astype`` casts them all (every layer starts

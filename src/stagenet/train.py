@@ -197,15 +197,19 @@ def train_epoch(model: Model, optimizer: Adam, train_set: Dataset,
     and ``NumericsError`` names where the batch first went non-finite
     (``head2.fc (fwd)``, ``head2.bn (bwd)`` or the loss).  A step that
     would make a moment or a parameter non-finite raises ``Adam.step``'s
-    error, prefixed with the epoch and batch, and changes nothing."""
+    error, prefixed with the epoch and batch, and changes nothing.  A
+    dataset that yields no batch (empty, or one sample with
+    ``batch_size >= 2``) raises ``ContractError``."""
     m = len(train_set)
-    if m == 0:
-        raise ContractError("training dataset is empty")
+    slices = _batch_slices(m, cfg.batch_size)
+    if not slices:
+        raise ContractError(f"a training set of {m} sample(s) yields no batch "
+                            f"at batch size {cfg.batch_size}")
     perm = SeededRng(cfg.seed, _SHUFFLE_TAG + epoch).permutation(m)
     total_loss = 0.0
     total_correct = 0
     total_seen = 0
-    for i, (start, stop) in enumerate(_batch_slices(m, cfg.batch_size)):
+    for i, (start, stop) in enumerate(slices):
         idx = perm[start:stop]
         x = augment_batch(train_set, idx, policy, cfg.seed, epoch)
         labels = train_set.labels[idx]
@@ -234,6 +238,8 @@ def evaluate(model: Model, dataset: Dataset, policy: AugmentPolicy,
     non-finite layer output (``head2.fc (fwd)``) or the loss."""
     if len(dataset) == 0:
         raise ContractError("evaluation dataset is empty")
+    if batch_size < 1:
+        raise ContractError(f"batch size must be >= 1, got {batch_size}")
     total_loss = 0.0
     correct = 0
     for i, start in enumerate(range(0, len(dataset), batch_size)):

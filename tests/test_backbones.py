@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from stagenet import build, build_preset
-from stagenet.backbones import BackboneSpec, BlockSpec, OriginalClassifier, SetSpec
+from stagenet.backbones import (_BLOCK_BUILDERS, PRESETS, BackboneSpec, BlockSpec,
+                                 OriginalClassifier, SetSpec)
 from stagenet.errors import BuildError, ContractError, ShapeError
 from stagenet.gradcheck import check_layer, check_model
 from stagenet.layers import Conv2d, Layer
@@ -30,13 +31,13 @@ def one_training_step(model, x, labels):
     return out, grad
 
 
-def densey_spec():
-    """A one-stage dense-style backbone: a concat merge, then a 1x1
-    ``plain_conv`` transition before the stage's pool."""
-    return BackboneSpec("densey", (
+def stacked_spec():
+    """A one-stage backbone of several blocks: a plain conv, a projected
+    residual unit, then a 1x1 ``plain_conv`` before the stage's pool."""
+    return BackboneSpec("stacked", (
         SetSpec((
             BlockSpec("plain_conv", ((3, 8),), 1),
-            BlockSpec("concat_merge", ((1, 16), (3, 4)), 1),
+            BlockSpec("residual_basic", ((3, 16), (3, 16)), 1),
             BlockSpec("plain_conv", ((1, 6),), 1),
         ), "pool"),
     ))
@@ -71,7 +72,7 @@ class TestStructure:
         assert model.classifier is None
         assert len(model.heads) == model.n_sets == 5
         for head in model.heads:
-            assert head.target_channels == 512
+            assert head.conv.out_channels == 512
             assert head.conv.kernel_size == 3
             assert head.fc.in_features == 512 and head.fc.out_features == N
 
@@ -97,15 +98,40 @@ class TestStructure:
         with pytest.raises(ContractError):
             build_preset("vgg99")
 
+    def test_every_block_kind_is_built_by_a_preset(self):
+        built = {b.kind for make in PRESETS.values() for s in make().sets for b in s.blocks}
+        assert set(_BLOCK_BUILDERS) <= built
+
+    def test_concat_merge_is_an_unknown_kind(self):
+        spec = BackboneSpec("dense", (
+            SetSpec((BlockSpec("concat_merge", ((1, 16), (3, 4)), 1),), "none"),
+        ))
+        with pytest.raises(BuildError, match="unknown block kind 'concat_merge'"):
+            build(spec)
+
+    @pytest.mark.parametrize("mode", ["original", "multi"])
+    def test_unknown_reduction_rejected(self, mode):
+        spec = BackboneSpec("bad", (SetSpec((BlockSpec("plain_conv", ((3, 4),), 1),), "bogus"),))
+        with pytest.raises(BuildError, match="unknown reduction 'bogus'"):
+            build(spec, mode)
+
+    @pytest.mark.parametrize("mode", ["original", "multi"])
+    @pytest.mark.parametrize("option,match", [({"n_classes": 1}, "at least 2 categories"),
+                                              ({"normalizer": "l1"}, "normalizer must be")],
+                             ids=["n_classes_1", "normalizer_l1"])
+    def test_bad_classifier_option_rejected_in_both_modes(self, mode, option, match):
+        with pytest.raises(ContractError, match=match):
+            build_preset("mini_cnn", mode, **option)
+
 
 @pytest.mark.parametrize("preset,mode", [("mini_resnet", "multi"), ("mini_vgg", "original"),
-                                         ("densey", "multi")])
+                                         ("stacked", "multi")])
 class TestChildrenAreAttributes:
     """Every layer is reached once through its parent's attributes, under
     its name in ``modules()``: the invariant an attribute walk relies on."""
 
     def build(self, preset, mode):
-        return (build(densey_spec(), mode, n_classes=4) if preset == "densey"
+        return (build(stacked_spec(), mode, n_classes=4) if preset == "stacked"
                 else build_preset(preset, mode, n_classes=4))
 
     def test_below_the_root_attributes_are_the_children(self, preset, mode):
@@ -143,9 +169,9 @@ class TestForward:
         assert a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("preset,mode", [("mini_resnet", "multi"), ("mini_vgg", "original"),
-                                             ("densey", "multi")])
+                                             ("stacked", "multi")])
     def test_eval_forward_keeps_no_cache(self, preset, mode):
-        model = (build(densey_spec(), mode, n_classes=4) if preset == "densey"
+        model = (build(stacked_spec(), mode, n_classes=4) if preset == "stacked"
                  else build_preset(preset, mode, n_classes=4))
         x = SeededRng(1).uniform(0, 1, (2, 3, 16, 16), dtype=np.float32)
         out, _ = model.forward(x, training=True)
@@ -227,9 +253,9 @@ class TestHook:
         assert calls[len(fwd) - 1][2] is out
         assert calls[-1][2].shape == x.shape
 
-    @pytest.mark.parametrize("preset", ["mini_resnet", "mini_vgg", "densey"])
+    @pytest.mark.parametrize("preset", ["mini_resnet", "mini_vgg", "stacked"])
     def test_every_node_reports_once_each_way(self, preset):
-        model = (build(densey_spec(), "multi", n_classes=4) if preset == "densey"
+        model = (build(stacked_spec(), "multi", n_classes=4) if preset == "stacked"
                  else build_preset(preset, "multi", n_classes=4))
         x = SeededRng(4).uniform(0, 1, (2, 3, 16, 16), dtype=np.float32)
         calls = []
@@ -460,18 +486,6 @@ class TestOriginalClassifier:
             "composite.fc1.weight", "composite.fc1.bias"]
         for res in results:
             assert res.passed, res.line()
-
-
-class TestConcatMerge:
-    def test_concat_block_builds_and_backprops(self):
-        model = build(densey_spec(), "multi", n_classes=3).astype(np.float64)
-        assert model.sets[0].out_channels == 6
-        x = SeededRng(4).uniform(0, 1, (2, 3, 8, 8))
-        out, _ = model.forward(x, training=True)
-        assert out.shape == (2, 3)
-        model.zero_grads()
-        model.backward(np.ones_like(out))
-        assert any(g.any() for g in model.named_grads().values())
 
 
 def layer_classes(cls=Layer):

@@ -112,6 +112,30 @@ class TestNumerics:
                         TrainConfig(batch_size=4), POLICY, 3)
 
 
+class TestDegenerateLoopInputs:
+    """Inputs that yield no batch raise ``ContractError`` before any step."""
+
+    @pytest.mark.parametrize("loop", ["train_epoch", "run_training"])
+    def test_one_sample_train_set_rejected(self, loop):
+        model = build_preset("mini_cnn", "multi", n_classes=4)
+        params = {k: v.copy() for k, v in model.named_params().items()}
+        cfg = TrainConfig(batch_size=2, epochs=1)
+        with pytest.raises(ContractError, match="1 sample.* no batch at batch size 2"):
+            if loop == "train_epoch":
+                train_epoch(model, Adam(model.named_params(), 1e-3), tiny_data(1, 1), cfg,
+                            POLICY, 1)
+            else:
+                run_training(model, tiny_data(1, 1), tiny_data(4, 2), cfg, POLICY)
+        for k, v in model.named_params().items():
+            assert v.tobytes() == params[k].tobytes(), k
+
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_non_positive_eval_batch_size_rejected(self, batch_size):
+        model = build_preset("mini_cnn", "multi", n_classes=4)
+        with pytest.raises(ContractError, match=f"batch size must be >= 1, got {batch_size}"):
+            evaluate(model, tiny_data(4, 2), POLICY, batch_size=batch_size)
+
+
 class TestPlateauScheduler:
     def test_lr_drops_on_the_epoch_after_patience_runs_out(self):
         sched = PlateauScheduler(1.0, factor=0.5, patience=2, threshold=0.0)
