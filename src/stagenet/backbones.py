@@ -349,7 +349,9 @@ def build(spec: BackboneSpec, mode: str = "original", n_classes: int = 10,
     ``mode="multi"`` attaches one head per stage (all heads adapt to the
     last stage's channel width) and sums their score vectors.  Both modes
     reject ``n_classes < 2`` and an unknown ``normalizer``, though only
-    heads use it.  The model is float32 and takes float32 inputs;
+    heads use it.  ``hidden`` (the final classifier's hidden widths)
+    applies to ``original`` mode only; ``multi`` rejects a non-empty one
+    with ``ContractError``.  The model is float32 and takes float32 inputs;
     ``model.astype(np.float64)`` casts it for the gradient checks.
     """
     if mode not in ("original", "multi"):
@@ -359,6 +361,8 @@ def build(spec: BackboneSpec, mode: str = "original", n_classes: int = 10,
     if normalizer not in NORMALIZERS:
         raise ContractError(
             f"normalizer must be one of {tuple(NORMALIZERS)}, got {normalizer!r}")
+    if mode == "multi" and len(hidden) > 0:
+        raise ContractError(f"hidden widths apply to mode 'original' only, got {tuple(hidden)}")
     if spec.n_sets < 1:
         raise BuildError("backbone needs at least one set")
     rng = SeededRng(seed, 1000)

@@ -14,6 +14,10 @@ slices.  The im2col matrix is recomputed in backward, not cached (see
 (sample, channel), as behind a global max pool, takes
 ``Conv2d.backward_at`` instead: it reads only those windows.
 
+``MaxPool2x2`` copies no windows either: forward is three elementwise
+maxima over the input's four strided corner views, and backward routes by
+comparing the corners with the cached output, so no index array is kept.
+
 Every layer builds its params and buffers in float32.  ``Layer.astype``
 casts a built tree (float64 for the finite-difference checks).  Weight
 init is fan-in-scaled uniform (bound sqrt(6/fan_in)) for conv and linear;
@@ -325,7 +329,17 @@ class Conv2d(Layer):
 
 
 class MaxPool2x2(Layer):
-    """2x2 max pooling with stride 2; ties route to the lowest linear index."""
+    """2x2 max pooling with stride 2; ties route to the lowest linear index.
+
+    An odd last row or column takes no part and gets zero gradient.  The
+    window corners are strided views ``x[:, :, i:2*Ho:2, j:2*Wo:2]``, (i, j)
+    in row-major order; forward is three ``np.maximum`` over them and
+    caches the input and output by reference.  Backward gives each output's
+    gradient to the first corner equal to it, as gradient times a 0/1 mask
+    written into the matching view of dx; the last corner takes every
+    window no earlier corner matched, a window whose max is NaN included.
+    A non-finite gradient also makes the rest of its window NaN.
+    """
 
     kind = "maxpool2x2"
 
@@ -334,25 +348,36 @@ class MaxPool2x2(Layer):
             raise ShapeError(f"maxpool2x2: spatial extents {h}x{w} below window")
         return (h - 2) // 2 + 1, (w - 2) // 2 + 1
 
+    @staticmethod
+    def _corners(a: np.ndarray, ho: int, wo: int) -> list[np.ndarray]:
+        return [a[:, :, i:2 * ho:2, j:2 * wo:2] for i in (0, 1) for j in (0, 1)]
+
     def forward(self, x: np.ndarray) -> np.ndarray:
-        b, c, h, w = x.shape
+        _, _, h, w = x.shape
         ho, wo = self.out_hw(h, w)
-        win = np.lib.stride_tricks.sliding_window_view(x, (2, 2), axis=(2, 3))
-        win = win[:, :, ::2, ::2].reshape(b, c, ho, wo, 4)
-        idx = np.argmax(win, axis=-1)
-        out = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
-        self._cache = (x.shape, idx)
-        return np.ascontiguousarray(out)
+        c00, c01, c10, c11 = self._corners(x, ho, wo)
+        out = np.maximum(c00, c01)
+        np.maximum(out, c10, out=out)
+        np.maximum(out, c11, out=out)
+        self._cache = (x, out)
+        return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        x_shape, idx = self._need_cache()
-        b, c, h, w = x_shape
-        ho, wo = grad_out.shape[2], grad_out.shape[3]
-        scat = np.zeros((b, c, ho, wo, 4), dtype=grad_out.dtype)
-        np.put_along_axis(scat, idx[..., None], grad_out[..., None], axis=-1)
-        dx = np.zeros(x_shape, dtype=grad_out.dtype)
-        block = scat.reshape(b, c, ho, wo, 2, 2).transpose(0, 1, 2, 4, 3, 5)
-        dx[:, :, :2 * ho, :2 * wo] = block.reshape(b, c, 2 * ho, 2 * wo)
+        x, out = self._need_cache()
+        ho, wo = out.shape[2:]
+        dx = np.empty(x.shape, dtype=grad_out.dtype)
+        dx[:, :, 2 * ho:] = 0
+        dx[:, :, :, 2 * wo:] = 0
+        xs, ds = self._corners(x, ho, wo), self._corners(dx, ho, wo)
+        hit = xs[0] == out
+        np.multiply(grad_out, hit, out=ds[0])
+        free = ~hit
+        for k in (1, 2):
+            np.equal(xs[k], out, out=hit)
+            hit &= free
+            free ^= hit
+            np.multiply(grad_out, hit, out=ds[k])
+        np.multiply(grad_out, free, out=ds[3])
         return dx
 
 

@@ -151,13 +151,24 @@ def _has_batchnorm(model: Model) -> bool:
 
 def _batch_slices(m: int, batch_size: int):
     """Full batches plus a trailing partial batch when it has >= 2 samples
-    (a single leftover sample cannot feed train-mode batchnorm)."""
+    (a single leftover sample cannot feed train-mode batchnorm); a training
+    set that yields no batch raises ``ContractError``."""
     out = []
     for start in range(0, m, batch_size):
         stop = min(start + batch_size, m)
         if stop - start >= 2 or stop - start == batch_size:
             out.append((start, stop))
+    if not out:
+        raise ContractError(f"a training set of {m} sample(s) yields no batch "
+                            f"at batch size {batch_size}")
     return out
+
+
+def _check_eval_set(m: int, batch_size: int):
+    if m == 0:
+        raise ContractError("evaluation dataset is empty")
+    if batch_size < 1:
+        raise ContractError(f"batch size must be >= 1, got {batch_size}")
 
 
 def _all_finite(arrays) -> bool:
@@ -202,9 +213,6 @@ def train_epoch(model: Model, optimizer: Adam, train_set: Dataset,
     ``batch_size >= 2``) raises ``ContractError``."""
     m = len(train_set)
     slices = _batch_slices(m, cfg.batch_size)
-    if not slices:
-        raise ContractError(f"a training set of {m} sample(s) yields no batch "
-                            f"at batch size {cfg.batch_size}")
     perm = SeededRng(cfg.seed, _SHUFFLE_TAG + epoch).permutation(m)
     total_loss = 0.0
     total_correct = 0
@@ -236,10 +244,7 @@ def evaluate(model: Model, dataset: Dataset, policy: AugmentPolicy,
     """Eval-mode loss and accuracy; applies normalization only.  A batch
     whose loss is non-finite raises ``NumericsError`` naming the first
     non-finite layer output (``head2.fc (fwd)``) or the loss."""
-    if len(dataset) == 0:
-        raise ContractError("evaluation dataset is empty")
-    if batch_size < 1:
-        raise ContractError(f"batch size must be >= 1, got {batch_size}")
+    _check_eval_set(len(dataset), batch_size)
     total_loss = 0.0
     correct = 0
     for i, start in enumerate(range(0, len(dataset), batch_size)):
@@ -260,10 +265,15 @@ def run_training(model: Model, train_set: Dataset, test_set: Dataset,
                  start_epoch: int = 1, optimizer: Adam | None = None,
                  scheduler: PlateauScheduler | None = None,
                  checkpoint_path: str | None = None) -> RunMetrics:
-    """Drive epochs ``start_epoch..cfg.epochs`` and collect metrics rows."""
+    """Drive epochs ``start_epoch..cfg.epochs`` and collect metrics rows.
+
+    A training set that yields no batch and an empty test set raise
+    ``ContractError`` before the first step, so the model stays untouched."""
     cfg.validate()
     if _has_batchnorm(model) and cfg.batch_size < 2:
         raise ConfigError("batch size must be >= 2 when batchnorm trains")
+    _batch_slices(len(train_set), cfg.batch_size)
+    _check_eval_set(len(test_set), cfg.batch_size)
     optimizer = optimizer or Adam(model.named_params(), cfg.learning_rate,
                                   cfg.beta1, cfg.beta2, cfg.adam_eps)
     scheduler = scheduler or PlateauScheduler(cfg.learning_rate, cfg.scheduler_factor,

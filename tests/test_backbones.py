@@ -123,6 +123,13 @@ class TestStructure:
         with pytest.raises(ContractError, match=match):
             build_preset("mini_cnn", mode, **option)
 
+    def test_hidden_widths_apply_to_original_mode_only(self):
+        with pytest.raises(ContractError, match="hidden widths apply to mode 'original' only"):
+            build_preset("mini_cnn", "multi", n_classes=4, hidden=(64,))
+        model = build_preset("mini_cnn", "original", n_classes=4, hidden=(64,))
+        assert [name for name, _ in model.classifier.children()] == ["pool", "fc0", "relu0", "fc1"]
+        assert model.classifier.fc0.out_features == 64
+
 
 @pytest.mark.parametrize("preset,mode", [("mini_resnet", "multi"), ("mini_vgg", "original"),
                                          ("stacked", "multi")])

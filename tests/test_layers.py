@@ -182,6 +182,20 @@ class TestPooling:
         with pytest.raises(ShapeError):
             L.MaxPool2x2().forward(np.zeros((1, 1, 1, 4)))
 
+    def test_maxpool_cache_serves_one_backward(self):
+        x = SeededRng(19).uniform(-1, 1, (2, 3, 5, 4), dtype=np.float32)
+        g = np.ones((2, 3, 2, 2), dtype=np.float32)
+        pool = L.MaxPool2x2()
+        pool(x)
+        pool.backprop(g)
+        with pytest.raises(ContractError, match="maxpool2x2: backward called without a new forward"):
+            pool.backprop(g)
+        pool(x)
+        pool.set_training(False)
+        pool(x)
+        with pytest.raises(ContractError, match="maxpool2x2: backward called without a new forward"):
+            pool.backprop(g)
+
 
 class TestBatchNorm:
     def test_train_mode_normalizes(self):

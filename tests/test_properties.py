@@ -1,6 +1,7 @@
 """Properties over drawn inputs: shape arithmetic agrees with a real
 forward, ``count_stats`` agrees with the output sizes of a real forward,
-and the score normalizers keep their invariants.
+``MaxPool2x2`` agrees with a per-window loop, and the score normalizers
+keep their invariants.
 
 Examples are derandomized and few, so the suite stays deterministic and fast.
 """
@@ -46,6 +47,46 @@ def test_conv_out_hw_matches_forward(h, w, k, stride, pad):
 def test_maxpool_out_hw_matches_forward(h, w):
     pool = MaxPool2x2()
     assert out_hw_shape(pool, 2, 3, h, w) == forward_shape(pool, (2, 3, h, w))
+
+
+def naive_maxpool(x, g):
+    """Per-window loop: each window's max, and its gradient routed to the
+    first element in row-major order that attains it."""
+    b, c, h, w = x.shape
+    out = np.zeros((b, c, h // 2, w // 2), dtype=x.dtype)
+    dx = np.zeros_like(x)
+    for n in range(b):
+        for k in range(c):
+            for i in range(h // 2):
+                for j in range(w // 2):
+                    best = (2 * i, 2 * j)
+                    for r, q in ((2 * i, 2 * j + 1), (2 * i + 1, 2 * j), (2 * i + 1, 2 * j + 1)):
+                        if x[n, k, r, q] > x[n, k, best[0], best[1]]:
+                            best = (r, q)
+                    out[n, k, i, j] = x[n, k, best[0], best[1]]
+                    dx[n, k, best[0], best[1]] = g[n, k, i, j]
+    return out, dx
+
+
+pool_inputs = arrays(st.sampled_from([np.float32, np.float64]),
+                     st.tuples(st.integers(1, 2), st.integers(1, 2), st.integers(2, 9),
+                               st.integers(2, 9)),
+                     elements=st.integers(-2, 2).map(float) | st.sampled_from([np.inf, -np.inf]))
+
+
+@fixed
+@given(x=pool_inputs)
+def test_maxpool_matches_a_per_window_loop(x):
+    # small integers and infinities make ties common; array_equal counts
+    # -0.0 == 0.0, and np.maximum may keep either zero of a window holding both
+    pool = MaxPool2x2()
+    out = pool.forward(x)
+    g = np.arange(1, out.size + 1, dtype=x.dtype).reshape(out.shape)
+    want_out, want_dx = naive_maxpool(x, g)
+    dx = pool.backward(g)
+    assert out.dtype == dx.dtype == x.dtype
+    assert np.array_equal(out, want_out)
+    assert np.array_equal(dx, want_dx)
 
 
 @settings(derandomize=True, deadline=None, max_examples=12)

@@ -129,6 +129,15 @@ class TestDegenerateLoopInputs:
         for k, v in model.named_params().items():
             assert v.tobytes() == params[k].tobytes(), k
 
+    def test_empty_test_set_rejected_before_any_step(self):
+        model = build_preset("mini_cnn", "multi", n_classes=4)
+        state = {k: v.copy() for k, v in {**model.named_params(), **model.named_buffers()}.items()}
+        with pytest.raises(ContractError, match="evaluation dataset is empty"):
+            run_training(model, tiny_data(8, 1), tiny_data(0, 2),
+                         TrainConfig(batch_size=4, epochs=2), POLICY)
+        for k, v in {**model.named_params(), **model.named_buffers()}.items():
+            assert v.tobytes() == state[k].tobytes(), k
+
     @pytest.mark.parametrize("batch_size", [0, -1])
     def test_non_positive_eval_batch_size_rejected(self, batch_size):
         model = build_preset("mini_cnn", "multi", n_classes=4)
