@@ -184,12 +184,6 @@ class SetModule(Layer):
             self.add("pool", MaxPool2x2())
         self.out_channels = ch
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        try:
-            return super().forward(x)
-        except ShapeError as exc:
-            raise ShapeError(f"set {self.index}: {exc}") from exc
-
 
 class OriginalClassifier(Layer):
     """Final classifier: global max pool, then a linear stack on the channels;
@@ -232,7 +226,8 @@ class Model(Layer):
     ``classifier`` (``original`` mode, ``heads`` None).
     Unlike the composites it holds, it lists them in its own ``children()``
     rather than with ``add``: its forward and backward index ``sets`` and
-    ``heads`` by stage.
+    ``heads`` by stage.  It writes each node's qualified name into that
+    node's ``name``, which starts the node's error messages.
     """
 
     def __init__(self, spec: BackboneSpec, sets: list[SetModule],
@@ -243,6 +238,8 @@ class Model(Layer):
         self.sets = sets
         self.heads = heads
         self.classifier = classifier
+        for name, layer in self.modules():
+            layer.name = name
 
     @property
     def n_sets(self) -> int:
@@ -390,60 +387,40 @@ def _res(ch: int, n: int) -> BlockSpec:
     return BlockSpec("residual_basic", ((3, ch), (3, ch)), repeat=n)
 
 
-def vgg16_spec() -> BackboneSpec:
-    """Thirteen 3x3 convs in five pooled stages (64-64-128-256-512 plan)."""
-    return BackboneSpec("vgg16", (
+PRESETS = {
+    # thirteen 3x3 convs in five pooled stages (64-64-128-256-512 plan)
+    "vgg16": BackboneSpec("vgg16", (
         SetSpec((_plain(64, 2, False),), "pool"),
         SetSpec((_plain(128, 2, False),), "pool"),
         SetSpec((_plain(256, 3, False),), "pool"),
         SetSpec((_plain(512, 3, False),), "pool"),
         SetSpec((_plain(512, 3, False),), "pool"),
-    ))
-
-
-def resnet18_spec() -> BackboneSpec:
-    """Stem conv plus four two-unit residual stages; strides in stages 3-5."""
-    return BackboneSpec("resnet18", (
+    )),
+    # stem conv plus four two-unit residual stages; strides in stages 3-5
+    "resnet18": BackboneSpec("resnet18", (
         SetSpec((_plain(64, 1, True),), "none"),
         SetSpec((_res(64, 2),), "none"),
         SetSpec((_res(128, 2),), "stride"),
         SetSpec((_res(256, 2),), "stride"),
         SetSpec((_res(512, 2),), "stride"),
-    ))
-
-
-def mini_vgg_spec() -> BackboneSpec:
-    """Three pooled plain stages at reduced widths (8-16-32)."""
-    return BackboneSpec("mini_vgg", (
+    )),
+    # three pooled plain stages at reduced widths (8-16-32)
+    "mini_vgg": BackboneSpec("mini_vgg", (
         SetSpec((_plain(8, 1, False),), "pool"),
         SetSpec((_plain(16, 2, False),), "pool"),
         SetSpec((_plain(32, 2, False),), "pool"),
-    ))
-
-
-def mini_resnet_spec() -> BackboneSpec:
-    """Stem plus three single-unit residual stages, strides in stages 2-4."""
-    return BackboneSpec("mini_resnet", (
+    )),
+    # stem plus three single-unit residual stages, strides in stages 2-4
+    "mini_resnet": BackboneSpec("mini_resnet", (
         SetSpec((_plain(8, 1, True),), "none"),
         SetSpec((_res(16, 1),), "stride"),
         SetSpec((_res(32, 1),), "stride"),
         SetSpec((_res(32, 1),), "stride"),
-    ))
-
-
-def mini_cnn_spec() -> BackboneSpec:
-    """Single pooled stage of two plain convs; the degenerate one-set chain."""
-    return BackboneSpec("mini_cnn", (
+    )),
+    # single pooled stage of two plain convs; the degenerate one-set chain
+    "mini_cnn": BackboneSpec("mini_cnn", (
         SetSpec((_plain(16, 2, False),), "pool"),
-    ))
-
-
-PRESETS = {
-    "vgg16": vgg16_spec,
-    "resnet18": resnet18_spec,
-    "mini_vgg": mini_vgg_spec,
-    "mini_resnet": mini_resnet_spec,
-    "mini_cnn": mini_cnn_spec,
+    )),
 }
 
 
@@ -452,5 +429,5 @@ def build_preset(name: str, mode: str = "original", n_classes: int = 10,
                  seed: int = 0) -> Model:
     if name not in PRESETS:
         raise ContractError(f"unknown preset {name!r}; known: {sorted(PRESETS)}")
-    return build(PRESETS[name](), mode=mode, n_classes=n_classes,
+    return build(PRESETS[name], mode=mode, n_classes=n_classes,
                  normalizer=normalizer, hidden=hidden, seed=seed)

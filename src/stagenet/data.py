@@ -233,9 +233,6 @@ def make_synthetic(kind: str, n_samples: int, n_classes: int, image_size: int,
         raise ContractError(f"unknown synthetic kind {kind!r}")
     if n_classes < 2:
         raise ContractError("need at least 2 classes")
-    if n_samples == 0:
-        shape = (0, 3, image_size, image_size)
-        return Dataset(np.zeros(shape, np.float32), np.zeros(0, np.int64), n_classes)
     rng = SeededRng(seed, 31)
     labels = rng.integers(0, n_classes, (n_samples,)).astype(np.int64)
     images = _striped_patterns(labels, n_classes, image_size, rng)

@@ -2,6 +2,9 @@
 
 Each error class maps to one contract family: shapes, numeric domains,
 caller protocol, file formats, configuration, and model construction.
+A message raised by a node inside a model starts with the node's
+qualified name (``set4.pool: ...``, ``head1.norm: ...``); a node built on
+its own starts with its kind (``maxpool2x2: ...``).
 """
 
 

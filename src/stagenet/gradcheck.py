@@ -64,8 +64,8 @@ class CheckResult:
 def _check(node: L.Layer, run: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
            weights: np.ndarray | None, weight_stream: tuple, eps: float, tol: float,
            prefix: str) -> list[CheckResult]:
-    """Check ``node``'s input gradient (if backward returns one) and its
-    ``named_params()`` on sum(weights * run(x)), ``run`` giving its output.
+    """Check ``node``'s input gradient and its ``named_params()`` on
+    sum(weights * run(x)), ``run`` giving its output.
     Missing weights are uniform draws from ``SeededRng(*weight_stream)``.
     Params are perturbed in place, so they must be 64-bit."""
     if any(p.dtype != np.float64 for p in node.named_params().values()):
@@ -83,10 +83,8 @@ def _check(node: L.Layer, run: Callable[[np.ndarray], np.ndarray], x: np.ndarray
         out = run(x.copy())
         dx = node.backward(weights.astype(out.dtype))
         analytic = {k: v.copy() for k, v in node.named_grads().items()}
-        results = []
-        if dx is not None:
-            num_dx = numerical_gradient(objective, x, eps)
-            results.append(CheckResult(f"{prefix}input", relative_error(dx, num_dx), tol))
+        num_dx = numerical_gradient(objective, x, eps)
+        results = [CheckResult(f"{prefix}input", relative_error(dx, num_dx), tol)]
         for key, p in node.named_params().items():
             def f_of_p(pv: np.ndarray, p=p) -> float:
                 saved = p.copy()

@@ -6,10 +6,9 @@ adaptive max pool to (1,1), batch normalization, a single linear layer
 (which flattens the pooled feature), softplus (so raw scores stay
 positive), then a score normalizer.  The default normalizer is the L2
 form; softmax is available for ablations.  A head's forward is the plain
-chain of these children; it only checks its input, so shape errors name
-head t.  Its backward knows that the global max pool passes gradient to
-one conv output per (sample, channel), so the conv backpropagates only
-at the pool's argmax (``Conv2d.backward_at``).
+chain of these children.  Its backward knows that the global max pool
+passes gradient to one conv output per (sample, channel), so the conv
+backpropagates only at the pool's argmax (``Conv2d.backward_at``).
 
 A model with T stages carries exactly T heads, and the model's output is
 the plain sum of the per-head score vectors, entry by entry.
@@ -67,7 +66,6 @@ class ClassifierHead(Layer):
         if n_classes < 2:
             raise ContractError("need at least 2 categories")
         self.t = t
-        self.in_channels = in_channels
         self.add("conv", Conv2d(in_channels, target_channels, 3, stride=1, pad=1,
                                 bias=False, rng=rng))
         self.add("pool", AdaptiveMaxPool())
@@ -75,12 +73,6 @@ class ClassifierHead(Layer):
         self.add("fc", Linear(target_channels, n_classes, rng=rng))
         self.add("act", Softplus())
         self.add("norm", ScoreNorm(normalizer))
-
-    def forward(self, h_t: np.ndarray) -> np.ndarray:
-        if h_t.ndim != 4 or h_t.shape[1] != self.in_channels:
-            raise ShapeError(
-                f"head {self.t}: expected (B,{self.in_channels},H,W), got {h_t.shape}")
-        return super().forward(h_t)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         for child in (self.norm, self.act, self.fc, self.bn):

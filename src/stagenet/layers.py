@@ -64,27 +64,32 @@ class Layer:
     backward runs them reversed.
     Composites override forward/backward only where the graph branches
     (``_ResidualUnit`` and ``Model``) or where a child's gradient is known
-    to be sparse (``ClassifierHead``'s backward), and forward only to name
-    themselves in shape errors (``SetModule``, ``ClassifierHead``); they
-    keep the default ``kind``.  Every backward returns dx.
-    Parameters, gradients, buffers and the training flag are reached by
+    to be sparse (``ClassifierHead``'s backward); they keep the default
+    ``kind``.  Every backward returns dx.
+    Parameters, gradients, buffers (non-trainable state that checkpoints
+    persist, in the ``buffers`` dict) and the training flag are reached by
     one walk, ``modules()``, under qualified names such as
     ``set1.block0.conv0``; ``astype`` casts them all (every layer starts
-    in float32).  A parent calls a child as ``child(x)`` and
-    ``child.backprop(g)``, which run ``forward``/``backward`` and then, in
-    ``with root.hooked(fn):``, report ``fn(name, layer, "fwd", output)`` or
-    ``fn(name, layer, "bwd", dx)`` in execution order.  Training is not
+    in float32).  ``Model`` writes each node's qualified name into its
+    ``name`` (``None`` outside a model); a node's errors start with that
+    name, or with its ``kind`` outside a model.  A parent calls a child as
+    ``child(x)`` and ``child.backprop(g)``, which run ``forward``/
+    ``backward`` and then, in ``with root.hooked(fn):``, report
+    ``fn(name, layer, "fwd", output)`` or ``fn(name, layer, "bwd", dx)`` in
+    execution order.  Training is not
     re-entrant: one forward's caches serve one backward, which takes them.
     An eval-mode call ``child(x)`` drops the cache its forward left, so eval
     holds no backward state and a backward after it raises.
     """
 
     kind = "composite"
+    name: str | None = None
     _hook = None
 
     def __init__(self):
         self.params: dict[str, np.ndarray] = {}
         self.grads: dict[str, np.ndarray] = {}
+        self.buffers: dict[str, np.ndarray] = {}
         self.training = True
         self._cache = None
         self._children: list[tuple[str, Layer]] = []
@@ -147,16 +152,17 @@ class Layer:
         ``flop_mode`` (1 or 2 FLOPs per MAC)."""
         return n_out
 
+    @property
+    def where(self) -> str:
+        """The prefix of this node's errors: its name, or its kind outside a model."""
+        return self.name or self.kind
+
     def _need_cache(self):
         """Take the cache of the last forward; backward calls it once."""
         cache, self._cache = self._cache, None
         if cache is None:
-            raise ContractError(f"{self.kind}: backward called without a new forward")
+            raise ContractError(f"{self.where}: backward called without a new forward")
         return cache
-
-    def buffers(self) -> dict[str, np.ndarray]:
-        """Non-trainable state that checkpoints must persist."""
-        return {}
 
     # -- the tree ---------------------------------------------------------
     def modules(self, name: str = "") -> list[tuple[str, Layer]]:
@@ -178,7 +184,7 @@ class Layer:
         return self._named(lambda layer: layer.grads)
 
     def named_buffers(self) -> dict[str, np.ndarray]:
-        return self._named(lambda layer: layer.buffers())
+        return self._named(lambda layer: layer.buffers)
 
     def set_training(self, flag: bool):
         for _, layer in self.modules():
@@ -191,12 +197,11 @@ class Layer:
 
     def astype(self, dtype) -> Layer:
         """Cast every param and buffer of the tree to ``dtype`` and zero the
-        grads; returns self.  A buffer's key is its attribute name."""
+        grads; returns self."""
         for _, layer in self.modules():
-            for k, p in layer.params.items():
-                layer.params[k] = p.astype(dtype)
-            for k, v in layer.buffers().items():
-                setattr(layer, k, v.astype(dtype))
+            for arrays in (layer.params, layer.buffers):
+                for k, v in arrays.items():
+                    arrays[k] = v.astype(dtype)
         self.zero_grads()
         return self
 
@@ -249,7 +254,7 @@ class Conv2d(Layer):
     def out_hw(self, h: int, w: int) -> tuple[int, int]:
         k, s, p = self.kernel_size, self.stride, self.pad
         if h + 2 * p < k or w + 2 * p < k:
-            raise ShapeError(f"{self.kind}: input {h}x{w} too small for k={k}, pad={p}")
+            raise ShapeError(f"{self.where}: input {h}x{w} too small for k={k}, pad={p}")
         return (h + 2 * p - k) // s + 1, (w + 2 * p - k) // s + 1
 
     def _pad(self, x: np.ndarray) -> np.ndarray:
@@ -266,9 +271,9 @@ class Conv2d(Layer):
         return cols.reshape(b, c * k * k, ho * wo)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        b, c, h, w = x.shape
-        if c != self.in_channels:
-            raise ShapeError(f"{self.kind}: expected {self.in_channels} channels, got {c}")
+        if x.ndim != 4 or x.shape[1] != self.in_channels:
+            raise ShapeError(f"{self.where}: expected (B,{self.in_channels},H,W), got {x.shape}")
+        b, _, h, w = x.shape
         ho, wo = self.out_hw(h, w)
         xp = self._pad(x)
         wmat = self.params["weight"].reshape(self.out_channels, -1)
@@ -345,7 +350,7 @@ class MaxPool2x2(Layer):
 
     def out_hw(self, h: int, w: int) -> tuple[int, int]:
         if h < 2 or w < 2:
-            raise ShapeError(f"maxpool2x2: spatial extents {h}x{w} below window")
+            raise ShapeError(f"{self.where}: spatial extents {h}x{w} below window")
         return (h - 2) // 2 + 1, (w - 2) // 2 + 1
 
     @staticmethod
@@ -402,7 +407,7 @@ class AdaptiveMaxPool(Layer):
         """(B, C) flat H*W index of each channel's max in the last forward,
         left cached for ``backward``."""
         if self._cache is None:
-            raise ContractError(f"{self.kind}: no forward to read the argmax of")
+            raise ContractError(f"{self.where}: no forward to read the argmax of")
         return self._cache[1]
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
@@ -438,35 +443,33 @@ class BatchNorm2d(Layer):
         self.channels = channels
         self.params["gamma"] = np.ones(channels, dtype=np.float32)
         self.params["beta"] = np.zeros(channels, dtype=np.float32)
-        self.running_mean = np.zeros(channels, dtype=np.float32)
-        self.running_var = np.ones(channels, dtype=np.float32)
+        self.buffers["running_mean"] = np.zeros(channels, dtype=np.float32)
+        self.buffers["running_var"] = np.ones(channels, dtype=np.float32)
         self.zero_grads()
-
-    def buffers(self):
-        return {"running_mean": self.running_mean, "running_var": self.running_var}
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         b, c, h, w = x.shape
         if c != self.channels:
-            raise ShapeError(f"batchnorm2d: expected {self.channels} channels, got {c}")
+            raise ShapeError(f"{self.where}: expected {self.channels} channels, got {c}")
         gamma = self.params["gamma"].reshape(1, c, 1, 1)
         beta = self.params["beta"].reshape(1, c, 1, 1)
         m = b * h * w
+        running_mean, running_var = self.buffers["running_mean"], self.buffers["running_var"]
         if self.training:
             rows = x.reshape(b, c, h * w)
             mean = rows.sum(axis=2).sum(axis=0) / m
             xc = rows - mean[:, None]
             var = np.einsum("bcl,bcl->c", xc, xc) / m
             mo = self.MOMENTUM
-            self.running_mean += mo * (mean.astype(self.running_mean.dtype) - self.running_mean)
-            self.running_var += mo * (var.astype(self.running_var.dtype) - self.running_var)
+            running_mean += mo * (mean.astype(running_mean.dtype) - running_mean)
+            running_var += mo * (var.astype(running_var.dtype) - running_var)
             invstd = 1.0 / np.sqrt(var + self.EPS)
             xc *= invstd[:, None]
             xhat = xc.reshape(x.shape)
             self._cache = (xhat, invstd, m)
         else:
-            invstd = 1.0 / np.sqrt(self.running_var + self.EPS)
-            xhat = (x - self.running_mean.reshape(1, c, 1, 1)) * invstd.reshape(1, c, 1, 1)
+            invstd = 1.0 / np.sqrt(running_var + self.EPS)
+            xhat = (x - running_mean.reshape(1, c, 1, 1)) * invstd.reshape(1, c, 1, 1)
             self._cache = None
         return gamma * xhat + beta
 
@@ -512,7 +515,7 @@ class Linear(Layer):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.ndim < 2 or np.prod(x.shape[1:]) != self.in_features:
-            raise ShapeError(f"linear: expected {self.in_features} features, got {x.shape}")
+            raise ShapeError(f"{self.where}: expected {self.in_features} features, got {x.shape}")
         flat = x.reshape(x.shape[0], self.in_features)
         self._cache = (flat, x.shape)
         return flat @ self.params["weight"] + self.params["bias"]

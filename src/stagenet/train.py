@@ -358,7 +358,10 @@ def load_checkpoint(path: str) -> Checkpoint:
     """Read a file written by ``save_checkpoint``.  The magic, the exact
     file size the head declares and the CRC32 are checked before the header
     is parsed; any failure raises ``FormatError``, and a file of another
-    format version is rejected by its magic."""
+    format version is rejected by its magic.  The header's ``config`` must
+    be an object, ``epoch_next`` an int >= 1, ``adam_t`` an int >= 0 and
+    ``scheduler`` three numbers (lr, best, bad epochs), the last an int
+    >= 0; otherwise ``FormatError`` names the field."""
     with open(path, "rb") as fh:
         buf = fh.read()
     if not buf.startswith(MAGIC):
@@ -388,11 +391,32 @@ def load_checkpoint(path: str) -> Checkpoint:
             offset += arr.nbytes
         if offset != crc_at:
             raise FormatError(f"tensors end at byte {offset}, the payload at {crc_at}")
+        _check_fields(header)
         return Checkpoint(config=header["config"], epoch_next=header["epoch_next"],
                           adam_t=header["adam_t"], scheduler_state=tuple(header["scheduler"]),
                           tensors=tensors)
     except (ValueError, KeyError, TypeError) as exc:
         raise FormatError(f"malformed checkpoint header: {exc}") from exc
+
+
+def _is_int(value, low: int) -> bool:
+    return type(value) is int and value >= low
+
+
+def _check_fields(header: dict) -> None:
+    """Raise ``FormatError`` naming the first non-tensor header field of the
+    wrong type or range."""
+    sched = header["scheduler"]
+    for field, ok, want in (
+            ("config", isinstance(header["config"], dict), "an object"),
+            ("epoch_next", _is_int(header["epoch_next"], 1), "an int >= 1"),
+            ("adam_t", _is_int(header["adam_t"], 0), "an int >= 0"),
+            ("scheduler", isinstance(sched, list) and len(sched) == 3
+             and all(type(v) in (int, float) for v in sched) and _is_int(sched[2], 0),
+             "three numbers, the last an int >= 0")):
+        if not ok:
+            raise FormatError(f"checkpoint field {field!r} must be {want}, "
+                              f"got {header[field]!r}")
 
 
 def _copy_exact(ckpt: Checkpoint, kinds: tuple, targets: dict) -> None:

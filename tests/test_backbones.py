@@ -11,6 +11,7 @@ from stagenet.backbones import (_BLOCK_BUILDERS, PRESETS, BackboneSpec, BlockSpe
                                  OriginalClassifier, SetSpec)
 from stagenet.errors import BuildError, ContractError, ShapeError
 from stagenet.gradcheck import check_layer, check_model
+from stagenet.heads import ClassifierHead
 from stagenet.layers import Conv2d, Layer
 from stagenet.rng import SeededRng
 from stagenet.scorenorm import batch_cross_entropy
@@ -99,7 +100,7 @@ class TestStructure:
             build_preset("vgg99")
 
     def test_every_block_kind_is_built_by_a_preset(self):
-        built = {b.kind for make in PRESETS.values() for s in make().sets for b in s.blocks}
+        built = {b.kind for spec in PRESETS.values() for s in spec.sets for b in s.blocks}
         assert set(_BLOCK_BUILDERS) <= built
 
     def test_concat_merge_is_an_unknown_kind(self):
@@ -157,6 +158,42 @@ class TestChildrenAreAttributes:
                         if isinstance(v, Layer)]
         assert sorted(map(id, reached)) == sorted(id(c) for _, c in model.children())
         assert len(set(map(id, reached))) == len(reached)
+
+
+@pytest.mark.parametrize("mode", ["original", "multi"])
+class TestNames:
+    """Each node carries its ``modules()`` name, and its errors start with it."""
+
+    @pytest.mark.parametrize("preset", ["mini_resnet", "mini_vgg", "stacked"])
+    def test_every_node_carries_its_modules_name(self, preset, mode):
+        model = (build(stacked_spec(), mode, n_classes=4) if preset == "stacked"
+                 else build_preset(preset, mode, n_classes=4))
+        assert [(name, node.name) for name, node in model.modules()] == \
+            [(name, name) for name, _ in model.modules()]
+
+    def test_second_backward_names_the_node_that_refused(self, mode):
+        model = build_preset("mini_resnet", mode, n_classes=4)
+        x = SeededRng(4).uniform(0, 1, (2, 3, 16, 16), dtype=np.float32)
+        _, grad = one_training_step(model, x, np.array([1, 2]))
+        first = {"multi": "head1.norm", "original": "classifier.fc0"}[mode]
+        with pytest.raises(ContractError, match=f"^{first}: backward called without a new forward"):
+            model.backward(grad)
+
+    def test_too_small_input_names_the_pool(self, mode):
+        model = build_preset("vgg16", mode, n_classes=N)
+        with pytest.raises(ShapeError, match=r"^set4\.pool: spatial extents 1x1 below window"):
+            model.forward(np.zeros((1, 3, 8, 8), dtype=np.float32))
+
+
+def test_a_node_outside_a_model_names_its_kind():
+    head = ClassifierHead(1, 4, 8, N, "l2", SeededRng(0))
+    assert head.conv.name is None
+    for bad in ((2, 3, 5, 5), (2, 4, 5)):
+        with pytest.raises(ShapeError, match=r"^conv3x3: expected \(B,4,H,W\)"):
+            head(np.zeros(bad, dtype=np.float32))
+    model = build_preset("mini_cnn", "original", n_classes=N)
+    with pytest.raises(ShapeError, match=r"^set1\.block0\.conv0: expected \(B,3,H,W\)"):
+        model.sets[0](np.zeros((1, 2, 8, 8), dtype=np.float32))
 
 
 class TestForward:
@@ -219,7 +256,7 @@ class TestForward:
     def test_too_small_input_names_the_offending_set(self):
         # 8x8 pools down 8->4->2->1 through sets 1-3; set 4 cannot pool 1x1
         model = build_preset("vgg16", "original", n_classes=N)
-        with pytest.raises(ShapeError, match="set 4"):
+        with pytest.raises(ShapeError, match=r"set4\."):
             model.forward(np.zeros((1, 3, 8, 8), dtype=np.float32))
 
     def test_wrong_channel_count_rejected(self):

@@ -331,6 +331,23 @@ class TestCheckpointFile:
         with pytest.raises(FormatError, match=match):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("field,value", [
+        ("config", []),
+        ("epoch_next", -3),
+        ("epoch_next", 2.0),
+        ("adam_t", "7"),
+        ("adam_t", True),
+        ("scheduler", [0.001]),
+        ("scheduler", [0.001, "inf", 0]),
+        ("scheduler", [0.001, 1.5, 0.5]),
+        ("scheduler", [0.001, 1.5, -1]),
+    ])
+    def test_bad_field_under_a_valid_crc_rejected(self, tmp_path, field, value):
+        path = saved_checkpoint(tmp_path, "original")
+        rewrite(path, lambda h, p: ({**h, field: value}, p))
+        with pytest.raises(FormatError, match=f"'{field}' must be"):
+            load_checkpoint(path)
+
     def test_unsupported_dtype_not_saved(self, tmp_path):
         model = build_preset("mini_vgg", "original", n_classes=4, seed=1)
         opt = Adam(model.named_params(), 1e-3)
