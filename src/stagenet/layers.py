@@ -6,10 +6,21 @@ Convolution uses the cross-correlation convention (no kernel flip).
 Parameters are plain numpy arrays owned by the layer and updated in place
 by the optimizer; activations passed between layers are read-only.
 
-Convolution stays in NCHW throughout: im2col copies each sample's windows
-into a (C*k*k, Ho*Wo) matrix, forward and both backward products are one
-GEMM per sample, and col2im adds the input gradient back by k*k strided
-slices.  The im2col matrix is recomputed in backward, not cached (see
+Convolution takes and returns NCHW; forward and both backward products
+are one GEMM per sample on an im2col matrix.  Inside, two choices keep its
+data movement in long contiguous runs, in cache:
+- a stride-phase layout.  The padded input is split into its s x s stride
+  phases (the inverse of the sub-pixel shuffle, Shi et al.,
+  arXiv:1609.05158) and each plane is flattened with rows Wq = Wo +
+  (k-1)//s wide, so every tap's window reads, for every output at once,
+  one contiguous slice of one phase.  Output rows are computed Wq wide and
+  cropped.  A copy or add over windows, Wo = 4-32 elements per row, runs
+  several times slower in numpy than over one long slice;
+- sample blocks.  The batch runs in blocks whose im2col matrices fit in
+  ``BLOCK_BYTES`` (after Goto & van de Geijn, ACM TOMS 2008), where a
+  full-batch matrix reaches 29.5 MB; a block's im2col copies, GEMMs and
+  col2im adds then work in L2.
+Each im2col copy and each col2im add is one slice per tap and block (see
 ``Conv2d``).  A gradient that is non-zero at one output position per
 (sample, channel), as behind a global max pool, takes
 ``Conv2d.backward_at`` instead: it reads only those windows.
@@ -37,6 +48,12 @@ import numpy as np
 from .errors import ContractError, ShapeError
 from .rng import SeededRng
 
+# bytes of the im2col matrices of one block of conv samples.  Over the
+# mini presets' conv shapes at batch 100, forward plus backward was fastest
+# from 512 KiB to 2 MiB, and slower at 256 KiB and 4 MiB, on a Xeon with
+# 2 MiB of L2 per core
+BLOCK_BYTES = 1 << 20
+
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     out = np.empty_like(x)
@@ -51,6 +68,13 @@ def softplus(x: np.ndarray) -> np.ndarray:
     """ln(1 + exp(x)) computed without overflow; positive for all finite x
     that do not underflow exp (|x| beyond ~745 in float64)."""
     return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+
+
+def _check_nchw(layer, x: np.ndarray) -> tuple[int, int, int, int]:
+    """``x.shape`` of a (B,C,H,W) input; ``ShapeError`` naming ``layer`` otherwise."""
+    if x.ndim != 4:
+        raise ShapeError(f"{layer.where}: expected (B,C,H,W), got {x.shape}")
+    return x.shape
 
 
 class Layer:
@@ -134,12 +158,15 @@ class Layer:
     @contextmanager
     def hooked(self, fn):
         """Report every call of this layer and its descendants to ``fn``
-        while the block runs; one hook per tree at a time."""
+        while the block runs; one hook per tree at a time.  A node is
+        reported by its ``name`` once a model has set it, so a model's
+        subtree reports the names its errors carry; a standalone tree
+        reports names relative to this layer."""
         named = self.modules()
         if any(layer._hook is not None for _, layer in named):
             raise ContractError("a hook is already set on this tree")
         for name, layer in named:
-            layer._hook = partial(fn, name, layer)
+            layer._hook = partial(fn, name if layer.name is None else layer.name, layer)
         try:
             yield
         finally:
@@ -212,19 +239,38 @@ class Conv2d(Layer):
     Output spatial extent is floor((H + 2*pad - k)/stride) + 1; pad 1 with
     stride 1 and k=3 keeps the feature size fixed.
 
-    Computed as one GEMM per sample in NCHW, so neither side needs a layout
-    transpose.  im2col copies the padded input's windows into ``cols`` of
-    shape (B, C*k*k, Ho*Wo), rows in the weight's (C, k, k) order; forward
-    is W (Co, C*k*k) @ cols.  Backward recomputes ``cols`` from the cached
-    padded input, accumulates dW = sum_b g_b @ cols_b^T (g = grad_out as
-    (B, Co, Ho*Wo)), frees it, forms dcols = W^T @ g and adds it back into
-    the padded dx by k*k strided slices (col2im).  ``cols`` is not cached:
-    over mini_resnet multi's convs at batch 100 it would hold 98 MiB, where
-    the cached padded inputs hold 24 MiB.
+    Layout.  Forward caches the zero-padded input split into its s x s
+    stride phases: phase (a, b) holds padded rows a, a+s, ... and columns
+    b, b+s, ...; for s=1 it is the padded image.  Only the phases some tap
+    reads are built (one for k=1 at any stride), and only the rows and
+    columns some window reads.  With e = (k-1)//s, each (sample, channel)
+    plane of a phase is Hq x Wq = (Ho+e) x (Wo+e) (Wq = ceil(Wp/s)),
+    flattened to L = Hq*Wq.  Tap (ki, kj) reads phase (ki%s, kj%s) from
+    offset ``(ki//s)*Wq + kj//s`` of each plane on: output rows are
+    computed Wq wide, and the Wq - Wo extra columns are dropped from the
+    output and zero in the gradient.
+
+    Blocks.  The batch runs in blocks of the most samples whose im2col
+    matrices, (C*k*k, L) each, fit in ``BLOCK_BYTES``.  Within a block the
+    planes of a phase are stored channel-major, (C, block, L), and each
+    phase ends in e*(Wq+1) zeros of slack, so a tap's reads for the whole
+    block are one contiguous slice; a read that runs past a plane lands in
+    a column or row whose output is dropped.  Per block:
+    - forward copies each tap's slice into its rows of ``cols``
+      (C, k*k, block*L) and computes W @ cols per sample, over the first
+      Ho*Wq columns of each plane;
+    - backward rebuilds ``cols``, adds dW += cols @ g^T over the block's
+      samples, forms dcols = W^T @ g in tap-major rows, whose last e rows
+      of each plane stay zero, and adds each tap's rows into a phase-layout
+      dx as one slice; that dx is re-interleaved and cropped into dx.
+    The GEMMs see each sample's matrix as a strided view, so no operand is
+    transposed in memory.  ``cols`` is recomputed, not cached: over
+    mini_resnet multi's convs at batch 100 it would hold 98 MiB, where the
+    cached phases hold 24 MiB.
 
     ``backward_at`` is the backward for a gradient that is zero except at
     one output position per (sample, output channel): it gathers just those
-    B*Co windows of the padded input, with no im2col and no GEMM.
+    B*Co windows from the cached phases, with no im2col and no GEMM.
     """
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int = 3,
@@ -257,49 +303,132 @@ class Conv2d(Layer):
             raise ShapeError(f"{self.where}: input {h}x{w} too small for k={k}, pad={p}")
         return (h + 2 * p - k) // s + 1, (w + 2 * p - k) // s + 1
 
-    def _pad(self, x: np.ndarray) -> np.ndarray:
-        if self.pad == 0:
-            return x
-        p = self.pad
-        return np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+    def _grid(self, h: int, w: int) -> tuple[int, int, int, int]:
+        """(Ho, Wo, Hq, Wq): output and phase plane extents."""
+        ho, wo = self.out_hw(h, w)
+        e = (self.kernel_size - 1) // self.stride
+        return ho, wo, ho + e, wo + e
 
-    def _im2col(self, xp: np.ndarray, ho: int, wo: int) -> np.ndarray:
-        b, c = xp.shape[:2]
+    def block_size(self, x_shape: tuple, itemsize: int) -> int:
+        """Samples per block for an input of ``x_shape`` (``BLOCK_BYTES``)."""
+        _, c, h, w = x_shape
+        _, _, hq, wq = self._grid(h, w)
+        return max(1, BLOCK_BYTES // (c * self.kernel_size ** 2 * hq * wq * itemsize))
+
+    def _blocks(self, x_shape: tuple, itemsize: int) -> list[tuple[int, int]]:
+        """(first, last + 1) sample of each block."""
+        b, nb = x_shape[0], self.block_size(x_shape, itemsize)
+        return [(lo, min(lo + nb, b)) for lo in range(0, b, nb)]
+
+    def _taps(self, wq: int) -> list[tuple[int, int]]:
+        """(phase, offset into its planes) of each tap, in (ki, kj) order."""
         k, s = self.kernel_size, self.stride
-        win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::s, ::s]
-        cols = np.ascontiguousarray(win.transpose(0, 1, 4, 5, 2, 3))
-        return cols.reshape(b, c * k * k, ho * wo)
+        m = min(k, s)
+        return [((ki % s) * m + kj % s, (ki // s) * wq + kj // s)
+                for ki in range(k) for kj in range(k)]
+
+    def _phase_views(self, seg: np.ndarray, x: np.ndarray) -> list:
+        """(phase plane view, input view) pairs that hold the same elements,
+        for one block: ``seg`` (phases, C*block*L) and ``x`` (block, C, H, W)."""
+        k, s, p = self.kernel_size, self.stride, self.pad
+        m = min(k, s)
+        nbb, c, h, w = x.shape
+        ho, wo, hq, wq = self._grid(h, w)
+        planes = seg.reshape(m * m, c, nbb, hq, wq)
+        xt = x.transpose(1, 0, 2, 3)
+
+        def spans(n, n_read):
+            # phase a holds input indices a + s*i - p; keep those in [0, n) that a window reads
+            out = []
+            for a in range(m):
+                i0 = -((a - p) // s)
+                r0 = a + s * i0 - p
+                cnt = len(range(r0, min(n, n_read - p), s))
+                out.append((slice(i0, i0 + cnt), slice(r0, r0 + s * cnt, s)))
+            return out
+
+        return [(planes[a * m + b, :, :, qr, qc], xt[:, :, xr, xc])
+                for a, (qr, xr) in enumerate(spans(h, s * (ho - 1) + k))
+                for b, (qc, xc) in enumerate(spans(w, s * (wo - 1) + k))]
+
+    @staticmethod
+    def _fill_cols(cols: np.ndarray, xq: np.ndarray, start: int, taps: list):
+        """Copy each tap's slice of the phases ``xq``, from ``start`` on, into
+        its rows of ``cols`` (C, k*k, block*L)."""
+        c, _, width = cols.shape
+        for t, (ph, off) in enumerate(taps):
+            cols[:, t] = xq[ph, start + off:start + off + c * width].reshape(c, width)
+
+    @staticmethod
+    def _per_sample(a: np.ndarray, nbb: int, plane: int, n: int) -> np.ndarray:
+        """The first ``n`` columns of each plane of ``a`` (..., C*block*L),
+        as one (rows, n) matrix per sample: a (block, rows, n) view."""
+        return a.reshape(-1, nbb, plane)[:, :, :n].transpose(1, 0, 2)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 4 or x.shape[1] != self.in_channels:
             raise ShapeError(f"{self.where}: expected (B,{self.in_channels},H,W), got {x.shape}")
-        b, _, h, w = x.shape
-        ho, wo = self.out_hw(h, w)
-        xp = self._pad(x)
-        wmat = self.params["weight"].reshape(self.out_channels, -1)
-        out = np.matmul(wmat, self._im2col(xp, ho, wo))
-        if "bias" in self.params:
-            out += self.params["bias"][:, None]
-        self._cache = (xp, ho, wo)
-        return out.reshape(b, self.out_channels, ho, wo)
+        b, c, h, w = x.shape
+        k, co = self.kernel_size, self.out_channels
+        ho, wo, hq, wq = self._grid(h, w)
+        plane, n = hq * wq, ho * wq
+        taps = self._taps(wq)
+        wmat = self.params["weight"].reshape(co, -1)
+        bias = self.params.get("bias")
+        # the slack after the planes is the last tap's offset, e*(Wq+1)
+        xq = np.zeros((min(k, self.stride) ** 2, b * c * plane + taps[-1][1]), dtype=x.dtype)
+        out = np.empty((b, co, ho, wo), dtype=np.result_type(wmat, x))
+        cols = None
+        for lo, hi in self._blocks(x.shape, x.itemsize):
+            nbb, start, width = hi - lo, lo * c * plane, (hi - lo) * plane
+            for qv, xv in self._phase_views(xq[:, start:start + c * width], x[lo:hi]):
+                qv[...] = xv
+            if cols is None or cols.shape[2] != width:
+                cols = np.empty((c, k * k, width), dtype=x.dtype)
+            self._fill_cols(cols, xq, start, taps)
+            y = np.matmul(wmat, self._per_sample(cols, nbb, plane, n))
+            out[lo:hi] = y.reshape(nbb, co, ho, wq)[..., :wo]
+            if bias is not None:
+                out[lo:hi] += bias[:, None, None]
+        self._cache = (xq, x.shape)
+        return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        xp, ho, wo = self._need_cache()
-        b, c = xp.shape[:2]
-        k, s = self.kernel_size, self.stride
-        w = self.params["weight"]
-        g = grad_out.reshape(b, self.out_channels, ho * wo)
-        cols = self._im2col(xp, ho, wo)
-        self.grads["weight"] += np.matmul(g, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
-        del cols
+        xq, x_shape = self._need_cache()
+        b, c, h, w = x_shape
+        k, co = self.kernel_size, self.out_channels
+        ho, wo, hq, wq = self._grid(h, w)
+        plane, n = hq * wq, ho * wq
+        taps = self._taps(wq)
+        weight = self.params["weight"]
+        # dcols comes out tap-major, (k, k, C) rows, so that each tap's rows are one slice
+        wt_taps = weight.transpose(2, 3, 1, 0).reshape(-1, co)
+        dwt = np.zeros((weight[0].size, co), dtype=np.result_type(grad_out, xq))
+        dx = np.zeros(x_shape, dtype=xq.dtype)
+        cols = None
+        for lo, hi in self._blocks(x_shape, xq.itemsize):
+            nbb, start, width = hi - lo, lo * c * plane, (hi - lo) * plane
+            if cols is None or cols.shape[2] != width:
+                # gq and dcols are written only where a plane has outputs and
+                # stay zero elsewhere, so a block of another size starts afresh
+                cols = np.empty((c, k * k, width), dtype=xq.dtype)
+                gq = np.zeros((co, nbb, hq, wq), dtype=grad_out.dtype)
+                dcols = np.zeros((k * k, c * width), dtype=xq.dtype)
+                dxq = np.empty((xq.shape[0], c * width + taps[-1][1]), dtype=xq.dtype)
+            self._fill_cols(cols, xq, start, taps)
+            gq[:, :, :ho, :wo] = grad_out[lo:hi].transpose(1, 0, 2, 3)
+            g = self._per_sample(gq, nbb, plane, n)
+            dwt += np.matmul(self._per_sample(cols, nbb, plane, n), g.transpose(0, 2, 1)).sum(axis=0)
+            np.matmul(wt_taps, g, out=self._per_sample(dcols, nbb, plane, n))
+            dxq.fill(0)
+            for t, (ph, off) in enumerate(taps):
+                dxq[ph, off:off + c * width] += dcols[t]
+            for qv, dxv in self._phase_views(dxq[:, :c * width], dx[lo:hi]):
+                dxv[...] = qv
+        self.grads["weight"] += dwt.T.reshape(weight.shape)
         if "bias" in self.params:
             self.grads["bias"] += grad_out.sum(axis=(0, 2, 3))
-        dcols = np.matmul(w.reshape(self.out_channels, -1).T, g).reshape(b, c, k, k, ho, wo)
-        dxp = np.zeros_like(xp)
-        for ki in range(k):
-            for kj in range(k):
-                dxp[:, :, ki:ki + s * ho:s, kj:kj + s * wo:s] += dcols[:, :, ki, kj]
-        return self._crop(dxp)
+        return dx
 
     def backward_at(self, pos: np.ndarray, g: np.ndarray) -> np.ndarray:
         """Backward for a grad_out that is ``g[b, co]`` at flat output index
@@ -307,30 +436,38 @@ class Conv2d(Layer):
 
         dW[co] = sum_b g[b, co] * window(b, pos[b, co]) of the padded input,
         and dx adds g[b, co] * W[co] into the same windows.  A (B, Co, C*k*k)
-        table of flat indices into the padded input addresses every window
+        table of flat indices into the cached phases addresses every window
         element in the weight's (C, k, k) order; ``np.add.at`` sums where
         windows overlap."""
-        xp, ho, wo = self._need_cache()
-        b, c, hp, wp = xp.shape
-        k, s = self.kernel_size, self.stride
-        w = self.params["weight"]
+        xq, x_shape = self._need_cache()
+        b, c, h, w = x_shape
+        ho, wo, hq, wq = self._grid(h, w)
+        plane = hq * wq
+        weight = self.params["weight"]
+        # sample n of a block of nbb starting at sample lo has the plane of
+        # channel ci at (lo*C + ci*nbb + n - lo) * L in each phase
+        nb = self.block_size(x_shape, xq.itemsize)
+        n = np.arange(b)
+        lo = n // nb * nb
+        nbb = np.minimum(nb, b - lo)
+        chan = (lo * c + n - lo)[:, None] + np.arange(c) * nbb[:, None]
+        tap = [ph * xq.shape[1] + off for ph, off in self._taps(wq)]
+        window = (chan[:, :, None] * plane + tap).reshape(b, 1, -1)
         i, j = np.divmod(pos, wo)
-        corner = np.arange(b)[:, None] * (c * hp * wp) + i * (s * wp) + j * s
-        offset = (np.arange(c)[:, None, None] * (hp * wp)
-                  + np.arange(k)[:, None] * wp + np.arange(k)).reshape(-1)
-        flat = corner[:, :, None] + offset
-        windows = xp.reshape(-1).take(flat)
-        self.grads["weight"] += np.einsum("bo,bok->ok", g, windows).reshape(w.shape)
+        flat = (i * wq + j)[:, :, None] + window
+        windows = xq.reshape(-1).take(flat)
+        self.grads["weight"] += np.einsum("bo,bok->ok", g, windows).reshape(weight.shape)
         del windows
         if "bias" in self.params:
             self.grads["bias"] += g.sum(axis=0)
-        dxp = np.zeros(xp.size, dtype=xp.dtype)
-        np.add.at(dxp, flat.reshape(-1), (g[:, :, None] * w.reshape(self.out_channels, -1)).reshape(-1))
-        return self._crop(dxp.reshape(xp.shape))
-
-    def _crop(self, dxp: np.ndarray) -> np.ndarray:
-        p = self.pad
-        return np.ascontiguousarray(dxp[:, :, p:-p, p:-p]) if p else dxp
+        dxq = np.zeros(xq.shape, dtype=xq.dtype)
+        np.add.at(dxq.reshape(-1), flat.reshape(-1),
+                  (g[:, :, None] * weight.reshape(self.out_channels, -1)).reshape(-1))
+        dx = np.zeros(x_shape, dtype=xq.dtype)
+        for lo, hi in self._blocks(x_shape, xq.itemsize):
+            for qv, dxv in self._phase_views(dxq[:, lo * c * plane:hi * c * plane], dx[lo:hi]):
+                dxv[...] = qv
+        return dx
 
 
 class MaxPool2x2(Layer):
@@ -358,7 +495,7 @@ class MaxPool2x2(Layer):
         return [a[:, :, i:2 * ho:2, j:2 * wo:2] for i in (0, 1) for j in (0, 1)]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        _, _, h, w = x.shape
+        _, _, h, w = _check_nchw(self, x)
         ho, wo = self.out_hw(h, w)
         c00, c01, c10, c11 = self._corners(x, ho, wo)
         out = np.maximum(c00, c01)
@@ -396,7 +533,7 @@ class AdaptiveMaxPool(Layer):
     kind = "adaptive_maxpool"
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        b, c, h, w = x.shape
+        b, c, h, w = _check_nchw(self, x)
         flat = x.reshape(b, c, h * w)
         idx = np.argmax(flat, axis=-1)
         out = np.take_along_axis(flat, idx[..., None], axis=-1)
@@ -448,7 +585,7 @@ class BatchNorm2d(Layer):
         self.zero_grads()
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        b, c, h, w = x.shape
+        b, c, h, w = _check_nchw(self, x)
         if c != self.channels:
             raise ShapeError(f"{self.where}: expected {self.channels} channels, got {c}")
         gamma = self.params["gamma"].reshape(1, c, 1, 1)

@@ -412,8 +412,10 @@ def _check_fields(header: dict) -> None:
             ("epoch_next", _is_int(header["epoch_next"], 1), "an int >= 1"),
             ("adam_t", _is_int(header["adam_t"], 0), "an int >= 0"),
             ("scheduler", isinstance(sched, list) and len(sched) == 3
-             and all(type(v) in (int, float) for v in sched) and _is_int(sched[2], 0),
-             "three numbers, the last an int >= 0")):
+             and all(type(v) in (int, float) for v in sched) and _is_int(sched[2], 0)
+             and 0 < sched[0] < np.inf and not np.isnan(sched[1]),
+             "[lr, best, bad epochs]: lr positive and finite, best not NaN, "
+             "bad epochs an int >= 0")):
         if not ok:
             raise FormatError(f"checkpoint field {field!r} must be {want}, "
                               f"got {header[field]!r}")

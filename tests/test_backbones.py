@@ -297,6 +297,23 @@ class TestHook:
         assert calls[len(fwd) - 1][2] is out
         assert calls[-1][2].shape == x.shape
 
+    def test_a_subtree_reports_the_names_its_errors_carry(self):
+        model = build_preset("mini_cnn", "multi", n_classes=N)
+        head = model.heads[0]
+        x = SeededRng(5).uniform(0, 1, (2, head.conv.in_channels, 8, 8), dtype=np.float32)
+        names = []
+        with head.hooked(lambda name, layer, d, out: names.append(name)):
+            head(x)
+        assert names == ["head1.conv", "head1.pool", "head1.bn", "head1.fc", "head1.act",
+                         "head1.norm", "head1"]
+        with pytest.raises(ShapeError, match="head1.conv:"):
+            head(np.zeros((2, 3, 8, 8), dtype=np.float32))
+        standalone = ClassifierHead(1, head.conv.in_channels, 4, N, "l2", SeededRng(6))
+        names.clear()
+        with standalone.hooked(lambda name, layer, d, out: names.append(name)):
+            standalone(x)
+        assert names == ["conv", "pool", "bn", "fc", "act", "norm", ""]
+
     @pytest.mark.parametrize("preset", ["mini_resnet", "mini_vgg", "stacked"])
     def test_every_node_reports_once_each_way(self, preset):
         model = (build(stacked_spec(), "multi", n_classes=4) if preset == "stacked"

@@ -1,5 +1,7 @@
 """Layer forward values and analytic-vs-numerical gradient agreement."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -145,6 +147,133 @@ class TestConvBackward:
             np.testing.assert_allclose(sparse[key], v, rtol=0, atol=1e-14)
 
 
+def direct_conv_grads(x, w, g, stride, pad):
+    """dx, dW and dbias of a cross-correlation, by scattering each output
+    position's gradient over its window, tap by tap (the backward of
+    ``naive_conv``, looped over positions rather than samples)."""
+    k = w.shape[2]
+    _, _, ho, wo = g.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    dxp, dw = np.zeros_like(xp), np.zeros_like(w)
+    for i in range(ho):
+        for j in range(wo):
+            for ki in range(k):
+                for kj in range(k):
+                    r, c = i * stride + ki, j * stride + kj
+                    dw[:, :, ki, kj] += g[:, :, i, j].T @ xp[:, :, r, c]
+                    dxp[:, :, r, c] += g[:, :, i, j] @ w[:, :, ki, kj]
+    return dxp[:, :, pad:pad + x.shape[2], pad:pad + x.shape[3]], dw, g.sum(axis=(0, 2, 3))
+
+
+def direct_conv(x, w, stride, pad):
+    """``naive_conv`` looped over output positions and taps, so that it runs
+    at batch sizes of thousands."""
+    k = w.shape[2]
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    ho = (x.shape[2] + 2 * pad - k) // stride + 1
+    wo = (x.shape[3] + 2 * pad - k) // stride + 1
+    out = np.zeros((x.shape[0], w.shape[0], ho, wo))
+    for i in range(ho):
+        for j in range(wo):
+            for ki in range(k):
+                for kj in range(k):
+                    out[:, :, i, j] += xp[:, :, i * stride + ki, j * stride + kj] @ w[:, :, ki, kj].T
+    return out
+
+
+def test_direct_conv_oracles_agree_with_the_six_loop_one():
+    # the conv is linear in x and in w, so for any directions u, v the
+    # backward oracle must give <g, conv(u, w)> = <dx, u> and
+    # <g, conv(x, v)> = <dW, v>
+    rng = SeededRng(30)
+    x, w = rng.uniform(-1, 1, (2, 3, 5, 4)), rng.uniform(-1, 1, (4, 3, 3, 3))
+    u, v = rng.uniform(-1, 1, x.shape), rng.uniform(-1, 1, w.shape)
+    np.testing.assert_allclose(direct_conv(x, w, 2, 1), naive_conv(x, w, 2, 1), atol=1e-12)
+    g = rng.uniform(-1, 1, naive_conv(x, w, 2, 1).shape)
+    dx, dw, _ = direct_conv_grads(x, w, g, 2, 1)
+    assert abs((g * naive_conv(u, w, 2, 1)).sum() - (dx * u).sum()) < 1e-12
+    assert abs((g * naive_conv(x, v, 2, 1)).sum() - (dw * v).sum()) < 1e-12
+
+
+def conv_block_grid():
+    """(k, stride, pad, (h, w)) for every input the conv accepts."""
+    return [pytest.param(k, s, p, hw, id=f"k{k}-s{s}-p{p}-{hw[0]}x{hw[1]}")
+            for k in (1, 3) for s in (1, 2) for p in (0, 1)
+            for hw in ((7, 6), (8, 8), (1, 1)) if min(hw) + 2 * p >= k]
+
+
+class TestConvBlocks:
+    """The batch runs in sample blocks over a stride-phase layout (see
+    ``Conv2d``); batch sizes 1, b and b+1 (b the block size) give one full
+    block, one partial block, and a full block followed by a partial one."""
+
+    @pytest.mark.parametrize("k,stride,pad,hw", conv_block_grid())
+    def test_matches_direct_oracle_at_block_boundaries(self, k, stride, pad, hw):
+        conv = L.Conv2d(3, 4, k, stride=stride, pad=pad, bias=True,
+                        rng=SeededRng(31)).astype(np.float64)
+        conv.params["bias"][:] = SeededRng(32).uniform(-1, 1, 4)
+        w = conv.params["weight"]
+        b = conv.block_size((1, 3, *hw), 8)
+        for batch in (1, b, b + 1):
+            x = SeededRng(33).uniform(-1, 1, (batch, 3, *hw))
+            conv.zero_grads()
+            y = conv.forward(x)
+            np.testing.assert_allclose(y, direct_conv(x, w, stride, pad) + conv.params["bias"][:, None, None],
+                                       rtol=0, atol=1e-12)
+            g = SeededRng(34).uniform(-1, 1, y.shape)
+            dx = conv.backward(g)
+            want_dx, want_dw, want_db = direct_conv_grads(x, w, g, stride, pad)
+            np.testing.assert_allclose(dx, want_dx, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(conv.grads["weight"], want_dw, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(conv.grads["bias"], want_db, rtol=1e-12, atol=1e-12)
+            # the sparse backward indexes the same blocked cache
+            pos = SeededRng(35).integers(0, y.shape[2] * y.shape[3], y.shape[:2])
+            g_at = SeededRng(36).uniform(-1, 1, y.shape[:2])
+            sparse = np.zeros((*y.shape[:2], y.shape[2] * y.shape[3]))
+            np.put_along_axis(sparse, pos[..., None], g_at[..., None], axis=-1)
+            conv.zero_grads()
+            conv.forward(x)
+            dx = conv.backward_at(pos, g_at)
+            want_dx, want_dw, _ = direct_conv_grads(x, w, sparse.reshape(y.shape), stride, pad)
+            np.testing.assert_allclose(dx, want_dx, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(conv.grads["weight"], want_dw, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("k,stride", [(3, 1), (3, 2), (1, 2)])
+    def test_each_sample_depends_on_itself_alone(self, k, stride):
+        # float32, bit for bit: the output and dx of a sample are the same
+        # whichever block, and whichever place in it, the sample falls in
+        conv = L.Conv2d(8, 16, k, stride=stride, pad=k // 2, rng=SeededRng(37))
+        conv.params["bias"][:] = 0.25
+        b = conv.block_size((1, 8, 16, 16), 4)
+        assert b >= 2
+        x = SeededRng(38).uniform(-1, 1, (2 * b + 1, 8, 16, 16), dtype=np.float32)
+        y = conv.forward(x)
+        g = SeededRng(39).uniform(-1, 1, y.shape, dtype=np.float32)
+        dx = conv.backward(g)
+        for part in (slice(0, 1), slice(1, b + 2), slice(b + 2, None), slice(b - 1, b + 1)):
+            y_part = conv.forward(x[part])
+            assert y_part.tobytes() == y[part].tobytes()
+            assert conv.backward(g[part]).tobytes() == dx[part].tobytes()
+
+    def test_float32_working_set_is_blocked(self):
+        # beyond what it caches and returns, a conv holds about two blocks
+        # of im2col matrices; a full-batch im2col here is 29.5 MB
+        conv = L.Conv2d(8, 32, 3, stride=1, pad=1, rng=SeededRng(40))
+        x = SeededRng(41).uniform(-1, 1, (100, 8, 32, 32), dtype=np.float32)
+        g = np.ones((100, 32, 32, 32), dtype=np.float32)
+        conv.forward(x[:2])
+        conv.backward(g[:2])
+        tracemalloc.start()
+        try:
+            y = conv.forward(x)
+            cache = conv._cache[0].nbytes
+            dx = conv.backward(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < cache + y.nbytes + dx.nbytes + 4 * 2 ** 20
+
+
 class TestPooling:
     def test_adaptive_pool_takes_global_max(self):
         x = np.array([[[[1.0, 2.0], [3.0, 4.0]]]])
@@ -177,6 +306,10 @@ class TestPooling:
         x = SeededRng(13).uniform(-5, 5, (2, 3, 5, 5))
         for res in check_layer(L.AdaptiveMaxPool(), x, eps=1e-5, tol=1e-6):
             assert res.passed, res.line()
+
+    def test_maxpool_rejects_a_3d_input(self):
+        with pytest.raises(ShapeError, match=r"maxpool2x2: expected \(B,C,H,W\), got \(3, 4, 4\)"):
+            L.MaxPool2x2().forward(np.zeros((3, 4, 4), dtype=np.float32))
 
     def test_maxpool_rejects_tiny_input(self):
         with pytest.raises(ShapeError):
@@ -237,6 +370,10 @@ class TestBatchNorm:
         x = SeededRng(17).uniform(-2, 2, (4, 3, 3, 3))
         for res in check_layer(bn, x, eps=1e-5, tol=1e-5):
             assert res.passed, res.line()
+
+    def test_rejects_a_3d_input(self):
+        with pytest.raises(ShapeError, match=r"batchnorm2d: expected \(B,C,H,W\), got \(3, 4, 4\)"):
+            L.BatchNorm2d(3).forward(np.zeros((3, 4, 4), dtype=np.float32))
 
     def test_eval_forward_leaves_no_cache_for_backward(self):
         # an eval forward must not hand the previous training forward's

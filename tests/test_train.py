@@ -341,6 +341,11 @@ class TestCheckpointFile:
         ("scheduler", [0.001, "inf", 0]),
         ("scheduler", [0.001, 1.5, 0.5]),
         ("scheduler", [0.001, 1.5, -1]),
+        ("scheduler", [0.0, 1.5, 0]),
+        ("scheduler", [-0.001, 1.5, 0]),
+        ("scheduler", [float("nan"), 1.5, 0]),
+        ("scheduler", [float("inf"), 1.5, 0]),
+        ("scheduler", [0.001, float("nan"), 0]),
     ])
     def test_bad_field_under_a_valid_crc_rejected(self, tmp_path, field, value):
         path = saved_checkpoint(tmp_path, "original")
