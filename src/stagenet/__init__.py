@@ -7,31 +7,28 @@ output.  Every layer is float32; ``Layer.astype`` casts a built tree, as
 the finite-difference checks (``gradcheck``) need float64.  Everything is
 seeded and deterministic.  The package is a library with no command line:
 ``train`` holds the training loop, Adam, the plateau scheduler and binary
-checkpoints, ``data`` the CIFAR reader, synthetic datasets and
-augmentation, and ``Model.count_stats`` the parameter and FLOP accounting.
+checkpoints, ``scorenorm`` the two score normalizers, their
+vector-Jacobian products and the cross-entropy loss, ``data`` the CIFAR
+reader, synthetic datasets and augmentation, and ``Model.count_stats``
+the parameter and FLOP accounting.  The root exports the model, its
+heads and the errors; the rest is reached through its module.
 """
 
 from .backbones import (BackboneSpec, BlockSpec, Model, ModelStats, PRESETS,
                         SetSpec, build, build_preset)
 from .errors import (BuildError, ConfigError, ContractError, DataError,
-                     DomainError, FormatError, NumericsError, ShapeError,
-                     StagenetError)
+                     FormatError, NumericsError, ShapeError, StagenetError)
 from .heads import ClassifierHead, aggregate_scores, predict
 from .rng import SeededRng
-from .scorenorm import (convergence_condition, jacobian_l2_score, jacobian_softmax,
-                        l2_score, l2score_partial, lower_bound_ok, softmax,
-                        softmax_partial)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BackboneSpec", "BlockSpec", "Model", "ModelStats", "PRESETS", "SetSpec",
     "build", "build_preset",
-    "BuildError", "ConfigError", "ContractError", "DataError", "DomainError",
-    "FormatError", "NumericsError", "ShapeError", "StagenetError",
+    "BuildError", "ConfigError", "ContractError", "DataError", "FormatError",
+    "NumericsError", "ShapeError", "StagenetError",
     "ClassifierHead", "aggregate_scores", "predict",
-    "convergence_condition", "jacobian_l2_score", "jacobian_softmax",
-    "l2_score", "l2score_partial", "lower_bound_ok", "softmax", "softmax_partial",
     "SeededRng",
     "__version__",
 ]

@@ -1,10 +1,11 @@
 """Exception hierarchy shared by every stagenet module.
 
-Each error class maps to one contract family: shapes, numeric domains,
-caller protocol, file formats, configuration, and model construction.
-A message raised by a node inside a model starts with the node's
-qualified name (``set4.pool: ...``, ``head1.norm: ...``); a node built on
-its own starts with its kind (``maxpool2x2: ...``).
+Each error class maps to one contract family: shapes, caller protocol,
+model construction, file layouts and their payloads, configuration, and
+non-finite values in training or evaluation.  A message raised by a node
+inside a model starts with the node's qualified name (``set4.pool: ...``,
+``head1.norm: ...``); a node built on its own starts with its kind
+(``maxpool2x2: ...``).
 """
 
 
@@ -14,10 +15,6 @@ class StagenetError(Exception):
 
 class ShapeError(StagenetError):
     """Operand extents are incompatible with the requested operation."""
-
-
-class DomainError(StagenetError):
-    """A numeric operation was applied outside its mathematical domain."""
 
 
 class ContractError(StagenetError):

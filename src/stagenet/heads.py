@@ -25,15 +25,15 @@ from .rng import SeededRng
 
 # normalizer name -> (layer kind, forward, vector-Jacobian product)
 NORMALIZERS = {
-    "l2": ("l2_score", scorenorm.l2_score_unchecked, scorenorm.l2_score_vjp),
-    "softmax": ("softmax", scorenorm.softmax_unchecked, scorenorm.softmax_vjp),
+    "l2": ("l2_score", scorenorm.l2_score, scorenorm.l2_score_vjp),
+    "softmax": ("softmax", scorenorm.softmax, scorenorm.softmax_vjp),
 }
 
 
 class ScoreNorm(Layer):
     """Row-wise score normalizer: the L2 score (square root of softmax) or
-    softmax itself.  Unchecked like every layer: the training loop names
-    the first non-finite output (``NumericsError``)."""
+    softmax itself.  Like every layer it passes non-finite values on: the
+    training loop names the first non-finite output (``NumericsError``)."""
 
     def __init__(self, normalizer: str):
         super().__init__()
@@ -44,11 +44,10 @@ class ScoreNorm(Layer):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         out = self._fn(x)
-        self._cache = out
-        return out
+        return self._keep(out, out)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        out = self._need_cache()
+        out = self._need_cache(grad_out)
         return self._vjp(out, grad_out).astype(out.dtype)
 
 

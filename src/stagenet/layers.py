@@ -89,7 +89,10 @@ class Layer:
     Composites override forward/backward only where the graph branches
     (``_ResidualUnit`` and ``Model``) or where a child's gradient is known
     to be sparse (``ClassifierHead``'s backward); they keep the default
-    ``kind``.  Every backward returns dx.
+    ``kind``.  Every backward returns dx.  A leaf's forward keeps what its
+    backward needs with ``_keep``, and its backward takes that with
+    ``_need_cache(grad_out)``, which rejects a gradient whose shape is not
+    the output's.
     Parameters, gradients, buffers (non-trainable state that checkpoints
     persist, in the ``buffers`` dict) and the training flag are reached by
     one walk, ``modules()``, under qualified names such as
@@ -184,11 +187,20 @@ class Layer:
         """The prefix of this node's errors: its name, or its kind outside a model."""
         return self.name or self.kind
 
-    def _need_cache(self):
-        """Take the cache of the last forward; backward calls it once."""
+    def _keep(self, cache, out: np.ndarray) -> np.ndarray:
+        """Keep ``cache`` for backward, and the shape of ``out``; returns ``out``."""
+        self._cache, self._out_shape = cache, out.shape
+        return out
+
+    def _need_cache(self, grad_out: np.ndarray | None = None):
+        """Take the cache of the last forward; backward calls it once.  A
+        ``grad_out`` must have that forward's output shape (``ShapeError``)."""
         cache, self._cache = self._cache, None
         if cache is None:
             raise ContractError(f"{self.where}: backward called without a new forward")
+        if grad_out is not None and grad_out.shape != self._out_shape:
+            raise ShapeError(f"{self.where}: gradient of shape {grad_out.shape} "
+                             f"for an output of shape {self._out_shape}")
         return cache
 
     # -- the tree ---------------------------------------------------------
@@ -390,11 +402,10 @@ class Conv2d(Layer):
             out[lo:hi] = y.reshape(nbb, co, ho, wq)[..., :wo]
             if bias is not None:
                 out[lo:hi] += bias[:, None, None]
-        self._cache = (xq, x.shape)
-        return out
+        return self._keep((xq, x.shape), out)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        xq, x_shape = self._need_cache()
+        xq, x_shape = self._need_cache(grad_out)
         b, c, h, w = x_shape
         k, co = self.kernel_size, self.out_channels
         ho, wo, hq, wq = self._grid(h, w)
@@ -440,6 +451,9 @@ class Conv2d(Layer):
         element in the weight's (C, k, k) order; ``np.add.at`` sums where
         windows overlap."""
         xq, x_shape = self._need_cache()
+        if pos.shape != self._out_shape[:2] or g.shape != pos.shape:
+            raise ShapeError(f"{self.where}: pos and g must be {self._out_shape[:2]}, "
+                             f"got {pos.shape} and {g.shape}")
         b, c, h, w = x_shape
         ho, wo, hq, wq = self._grid(h, w)
         plane = hq * wq
@@ -501,11 +515,10 @@ class MaxPool2x2(Layer):
         out = np.maximum(c00, c01)
         np.maximum(out, c10, out=out)
         np.maximum(out, c11, out=out)
-        self._cache = (x, out)
-        return out
+        return self._keep((x, out), out)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        x, out = self._need_cache()
+        x, out = self._need_cache(grad_out)
         ho, wo = out.shape[2:]
         dx = np.empty(x.shape, dtype=grad_out.dtype)
         dx[:, :, 2 * ho:] = 0
@@ -537,8 +550,7 @@ class AdaptiveMaxPool(Layer):
         flat = x.reshape(b, c, h * w)
         idx = np.argmax(flat, axis=-1)
         out = np.take_along_axis(flat, idx[..., None], axis=-1)
-        self._cache = (x.shape, idx)
-        return np.ascontiguousarray(out.reshape(b, c, 1, 1))
+        return self._keep((x.shape, idx), np.ascontiguousarray(out.reshape(b, c, 1, 1)))
 
     def argmax(self) -> np.ndarray:
         """(B, C) flat H*W index of each channel's max in the last forward,
@@ -548,7 +560,7 @@ class AdaptiveMaxPool(Layer):
         return self._cache[1]
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        x_shape, idx = self._need_cache()
+        x_shape, idx = self._need_cache(grad_out)
         b, c, h, w = x_shape
         dx = np.zeros((b, c, h * w), dtype=grad_out.dtype)
         np.put_along_axis(dx, idx[..., None], grad_out.reshape(b, c, 1), axis=-1)
@@ -603,15 +615,15 @@ class BatchNorm2d(Layer):
             invstd = 1.0 / np.sqrt(var + self.EPS)
             xc *= invstd[:, None]
             xhat = xc.reshape(x.shape)
-            self._cache = (xhat, invstd, m)
+            cache = (xhat, invstd, m)
         else:
             invstd = 1.0 / np.sqrt(running_var + self.EPS)
             xhat = (x - running_mean.reshape(1, c, 1, 1)) * invstd.reshape(1, c, 1, 1)
-            self._cache = None
-        return gamma * xhat + beta
+            cache = None
+        return self._keep(cache, gamma * xhat + beta)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        xhat, invstd, m = self._need_cache()
+        xhat, invstd, m = self._need_cache(grad_out)
         b, c = grad_out.shape[:2]
         g = grad_out.reshape(b, c, -1)
         xh = xhat.reshape(b, c, -1)
@@ -654,11 +666,10 @@ class Linear(Layer):
         if x.ndim < 2 or np.prod(x.shape[1:]) != self.in_features:
             raise ShapeError(f"{self.where}: expected {self.in_features} features, got {x.shape}")
         flat = x.reshape(x.shape[0], self.in_features)
-        self._cache = (flat, x.shape)
-        return flat @ self.params["weight"] + self.params["bias"]
+        return self._keep((flat, x.shape), flat @ self.params["weight"] + self.params["bias"])
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        flat, x_shape = self._need_cache()
+        flat, x_shape = self._need_cache(grad_out)
         self.grads["weight"] += flat.T @ grad_out
         self.grads["bias"] += grad_out.sum(axis=0)
         return (grad_out @ self.params["weight"].T).reshape(x_shape)
@@ -668,11 +679,10 @@ class ReLU(Layer):
     kind = "relu"
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._cache = x > 0
-        return np.maximum(x, 0.0)
+        return self._keep(x > 0, np.maximum(x, 0.0))
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        mask = self._need_cache()
+        mask = self._need_cache(grad_out)
         return grad_out * mask
 
 
@@ -682,9 +692,8 @@ class Softplus(Layer):
     kind = "softplus"
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._cache = x
-        return softplus(x)
+        return self._keep(x, softplus(x))
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        x = self._need_cache()
+        x = self._need_cache(grad_out)
         return grad_out * _sigmoid(x)

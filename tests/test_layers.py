@@ -7,7 +7,9 @@ import pytest
 
 from stagenet import layers as L
 from stagenet.errors import ContractError, ShapeError
-from stagenet.gradcheck import check_all_layers, check_layer, numerical_gradient, relative_error
+from stagenet.gradcheck import (_layer_zoo, check_all_layers, check_layer, numerical_gradient,
+                                relative_error)
+from stagenet.heads import ScoreNorm
 from stagenet.rng import SeededRng
 
 
@@ -145,6 +147,14 @@ class TestConvBackward:
         np.testing.assert_allclose(dx, conv.backward(dense_g.reshape(y.shape)), rtol=0, atol=1e-14)
         for key, v in conv.grads.items():
             np.testing.assert_allclose(sparse[key], v, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("pos_shape,g_shape", [((1, 4), (2, 4)), ((2, 4), (2, 1)),
+                                                   ((2, 4, 1), (2, 4, 1))])
+    def test_backward_at_rejects_pos_or_g_of_another_shape(self, pos_shape, g_shape):
+        conv = L.Conv2d(3, 4, 3, pad=1)
+        conv.forward(np.zeros((2, 3, 5, 5), dtype=np.float32))
+        with pytest.raises(ShapeError, match=r"^conv3x3: pos and g must be \(2, 4\)"):
+            conv.backward_at(np.zeros(pos_shape, dtype=np.int64), np.ones(g_shape, dtype=np.float32))
 
 
 def direct_conv_grads(x, w, g, stride, pad):
@@ -494,3 +504,17 @@ class TestLayerZooSweep:
         for seed in range(20):
             for res in check_all_layers(seed=seed, tol=1e-5):
                 assert res.passed, f"seed {seed}: {res.line()}"
+
+
+def zoo_and_score_norm():
+    layers = _layer_zoo(SeededRng(0)) + [(ScoreNorm("l2"), (3, 5))]
+    return [pytest.param(layer, shape, id=f"{i}-{layer.kind}")
+            for i, (layer, shape) in enumerate(layers)]
+
+
+@pytest.mark.parametrize("layer,shape", zoo_and_score_norm())
+def test_backward_rejects_a_gradient_of_another_shape(layer, shape):
+    # a batch-1 gradient would broadcast against a batch-B cache into a batch-B dx
+    out = layer.forward(SeededRng(1).uniform(-2, 2, shape))
+    with pytest.raises(ShapeError, match=rf"^{layer.kind}: gradient of shape \(1, "):
+        layer.backward(np.ones((1,) + out.shape[1:]))

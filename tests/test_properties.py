@@ -11,9 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from stagenet import build_preset, l2_score, softmax
+from stagenet import build_preset
 from stagenet.errors import ShapeError
 from stagenet.layers import Conv2d, Linear, MaxPool2x2
+from stagenet.scorenorm import l2_score, softmax
 
 fixed = settings(derandomize=True, deadline=None, max_examples=30)
 extents = st.integers(min_value=1, max_value=9)

@@ -1,11 +1,18 @@
-"""Score normalizers: values, derivatives, and the convergence predicate."""
+"""Score normalizers, their vector-Jacobian products and the loss; and
+the paper's claims about their derivatives and its convergence condition,
+checked through oracles local to this file."""
+
+import ast
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from stagenet import scorenorm as sn
-from stagenet.errors import ContractError, DomainError
+from stagenet.errors import ContractError, ShapeError
 from stagenet.gradcheck import numerical_gradient
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def fd_partial(func, x, j, eps=1e-6):
@@ -17,16 +24,51 @@ def fd_partial(func, x, j, eps=1e-6):
     return (func(xp) - func(xm)) / (2 * eps)
 
 
+def softmax_partial(x, i, j):
+    """Off-diagonal dS_i/dx_j (i != j) in closed form, -S_i S_j."""
+    s = sn.softmax(x)
+    return -s[i] * s[j]
+
+
+def l2score_partial(x, i, j):
+    """Off-diagonal dL_i/dx_j (i != j) in closed form, -(1/2) L_i S_j."""
+    s = sn.softmax(x)
+    return -0.5 * np.sqrt(s[i]) * s[j]
+
+
+def jacobian_softmax(x):
+    """dS_i/dx_j = S_i (delta_ij - S_j) of one score vector."""
+    s = sn.softmax(x)
+    return np.diag(s) - np.outer(s, s)
+
+
+def jacobian_l2_score(x):
+    """dL_i/dx_j = (1/2) L_i (delta_ij - S_j) of one score vector."""
+    s = sn.softmax(x)
+    return 0.5 * np.sqrt(s)[:, None] * (np.eye(len(s)) - s[None, :])
+
+
+def convergence_condition(x, i):
+    """S_i >= 1/4, i.e. sum_k exp(x_k) <= 4 exp(x_i): the regime in which
+    the L2 form's off-diagonal derivative is at least softmax's."""
+    return bool(sn.softmax(x)[i] >= 0.25)
+
+
+def lower_bound_ok(x, n):
+    """Every score exceeds ln(N/4), the bound the condition needs."""
+    return bool(np.min(x) > np.log(n / 4.0))
+
+
 class TestSoftmax:
     def test_symmetric_pair(self):
-        np.testing.assert_allclose(sn.softmax([0.0, 0.0]), [0.5, 0.5], atol=1e-15)
+        np.testing.assert_allclose(sn.softmax(np.zeros(2)), [0.5, 0.5], atol=1e-15)
 
     def test_one_to_three_ratio(self):
-        out = sn.softmax([np.log(1.0), np.log(3.0)])
+        out = sn.softmax(np.log([1.0, 3.0]))
         np.testing.assert_allclose(out, [0.25, 0.75], atol=1e-12)
 
     def test_large_scores_do_not_overflow(self):
-        out = sn.softmax([1000.0, 0.0])
+        out = sn.softmax(np.array([1000.0, 0.0]))
         assert np.all(np.isfinite(out))
         np.testing.assert_allclose(out, [1.0, 0.0], atol=1e-12)
 
@@ -36,22 +78,14 @@ class TestSoftmax:
         s = sn.softmax(x)
         np.testing.assert_allclose(s.sum(axis=1), 1.0, atol=1e-12)
 
-    def test_rejects_single_category(self):
-        with pytest.raises(ContractError):
-            sn.softmax([1.0])
-
-    def test_rejects_nonfinite(self):
-        with pytest.raises(DomainError):
-            sn.softmax([np.nan, 1.0])
-
 
 class TestL2Score:
     def test_symmetric_pair(self):
-        out = sn.l2_score([0.0, 0.0])
+        out = sn.l2_score(np.zeros(2))
         np.testing.assert_allclose(out, [np.sqrt(0.5), np.sqrt(0.5)], atol=1e-12)
 
     def test_one_to_three_ratio(self):
-        out = sn.l2_score([np.log(1.0), np.log(3.0)])
+        out = sn.l2_score(np.log([1.0, 3.0]))
         np.testing.assert_allclose(out, [0.5, np.sqrt(0.75)], atol=1e-12)
 
     def test_equals_sqrt_of_softmax(self):
@@ -84,11 +118,11 @@ class TestShiftAndArgmaxInvariance:
 
 class TestPartialDerivatives:
     def test_softmax_partial_at_symmetric_point(self):
-        assert sn.softmax_partial([0.0, 0.0], 0, 1) == pytest.approx(-0.25, abs=1e-14)
+        assert softmax_partial(np.zeros(2), 0, 1) == pytest.approx(-0.25, abs=1e-14)
 
     def test_l2_partial_at_symmetric_point(self):
         expected = -0.5 * np.sqrt(0.5) * 0.5  # -(1/2) L_0 S_1
-        assert sn.l2score_partial([0.0, 0.0], 0, 1) == pytest.approx(expected, abs=1e-14)
+        assert l2score_partial(np.zeros(2), 0, 1) == pytest.approx(expected, abs=1e-14)
         assert expected == pytest.approx(-0.1767767, abs=1e-7)
 
     def test_off_diagonal_is_strictly_negative(self):
@@ -96,14 +130,8 @@ class TestPartialDerivatives:
         for _ in range(100):
             x = rng.uniform(-5, 5, size=6)
             i, j = rng.choice(6, size=2, replace=False)
-            assert sn.softmax_partial(x, i, j) < 0
-            assert sn.l2score_partial(x, i, j) < 0
-
-    def test_diagonal_rejected_on_closed_forms(self):
-        with pytest.raises(ContractError):
-            sn.softmax_partial([0.0, 1.0], 1, 1)
-        with pytest.raises(ContractError):
-            sn.l2score_partial([0.0, 1.0], 0, 0)
+            assert softmax_partial(x, i, j) < 0
+            assert l2score_partial(x, i, j) < 0
 
     def test_softmax_partial_matches_finite_difference(self):
         rng = np.random.default_rng(6)
@@ -111,13 +139,17 @@ class TestPartialDerivatives:
             x = rng.uniform(-3, 3, size=5)
             i, j = rng.choice(5, size=2, replace=False)
             fd = fd_partial(sn.softmax, x, j)[i]
-            assert sn.softmax_partial(x, i, j) == pytest.approx(fd, abs=1e-8)
+            assert softmax_partial(x, i, j) == pytest.approx(fd, abs=1e-8)
 
     def test_l2_partial_closed_form_simplification(self):
+        # L_0 = exp(x_0/2) / sqrt(sum_k exp(x_k)), so dL_0/dx_1 is
+        # -(1/2) exp(x_0/2) exp(x_1) / (sum_k exp(x_k))^(3/2) = -(1/2) L_0 S_1
         rng = np.random.default_rng(7)
         x = rng.uniform(-5, 5, size=(1000, 4))
         for row in x[:200]:
-            val = sn.l2score_partial(row, 0, 1)
+            val = l2score_partial(row, 0, 1)
+            e = np.exp(row)
+            assert val == pytest.approx(-0.5 * np.sqrt(e[0]) * e[1] / e.sum() ** 1.5, abs=1e-12)
             simplified = -0.5 * sn.l2_score(row)[0] * sn.softmax(row)[1]
             assert val == pytest.approx(simplified, abs=1e-12)
 
@@ -125,7 +157,7 @@ class TestPartialDerivatives:
         rng = np.random.default_rng(8)
         for _ in range(20):
             x = rng.uniform(-3, 3, size=4)
-            jac = sn.jacobian_l2_score(x)
+            jac = jacobian_l2_score(x)
             for j in range(4):
                 fd = fd_partial(sn.l2_score, x, j)
                 np.testing.assert_allclose(jac[:, j], fd, atol=1e-8)
@@ -134,7 +166,7 @@ class TestPartialDerivatives:
         rng = np.random.default_rng(9)
         for _ in range(20):
             x = rng.uniform(-3, 3, size=4)
-            jac = sn.jacobian_softmax(x)
+            jac = jacobian_softmax(x)
             for j in range(4):
                 fd = fd_partial(sn.softmax, x, j)
                 np.testing.assert_allclose(jac[:, j], fd, atol=1e-8)
@@ -148,21 +180,21 @@ class TestPartialDerivatives:
         vjp_s = sn.softmax_vjp(s, g)
         vjp_l = sn.l2_score_vjp(ell, g)
         for r in range(20):
-            np.testing.assert_allclose(vjp_s[r], sn.jacobian_softmax(x[r]).T @ g[r], atol=1e-12)
-            np.testing.assert_allclose(vjp_l[r], sn.jacobian_l2_score(x[r]).T @ g[r], atol=1e-12)
+            np.testing.assert_allclose(vjp_s[r], jacobian_softmax(x[r]).T @ g[r], atol=1e-12)
+            np.testing.assert_allclose(vjp_l[r], jacobian_l2_score(x[r]).T @ g[r], atol=1e-12)
 
 
 class TestConvergenceCondition:
     def test_two_categories_at_origin_holds(self):
         # sum of exps is 2 <= 4 * 1
-        assert sn.convergence_condition([0.0, 0.0], 0) is True
+        assert convergence_condition(np.zeros(2), 0) is True
 
     def test_eight_categories_at_origin_fails(self):
         # sum of exps is 8 > 4, and ln(8/4) > 0 shows the bound is unmet at 0
-        x = [0.0] * 8
-        assert sn.convergence_condition(x, 0) is False
+        x = np.zeros(8)
+        assert convergence_condition(x, 0) is False
         assert np.log(8 / 4) > 0
-        assert sn.lower_bound_ok(x, 8) is False
+        assert lower_bound_ok(x, 8) is False
 
     def test_condition_implies_derivative_dominance(self):
         rng = np.random.default_rng(11)
@@ -170,12 +202,12 @@ class TestConvergenceCondition:
         for _ in range(10000):
             x = rng.uniform(-2, 2, size=4)
             i = int(rng.integers(0, 4))
-            if not sn.convergence_condition(x, i):
+            if not convergence_condition(x, i):
                 continue
             for j in range(4):
                 if j == i:
                     continue
-                assert sn.l2score_partial(x, i, j) >= sn.softmax_partial(x, i, j)
+                assert l2score_partial(x, i, j) >= softmax_partial(x, i, j)
                 checked += 1
         assert checked > 1000
 
@@ -185,19 +217,25 @@ class TestConvergenceCondition:
         for n in (2, 3, 4):
             for _ in range(200):
                 x = rng.uniform(1e-6, 50.0, size=n)
-                assert sn.lower_bound_ok(x, n) is True
+                assert lower_bound_ok(x, n) is True
         # N > 4: positive vectors below ln(N/4) violate the bound
         for n in (5, 10, 100):
             x = np.full(n, 0.5 * np.log(n / 4.0))
             assert np.all(x > 0)
-            assert sn.lower_bound_ok(x, n) is False
+            assert lower_bound_ok(x, n) is False
 
 
 class TestCrossEntropy:
-    def test_label_out_of_range(self):
-        for bad in (4, -1):
-            with pytest.raises(ContractError):
-                sn.batch_cross_entropy(np.zeros((2, 4)), np.array([0, bad]))
+    @pytest.mark.parametrize("labels,error,match", [
+        ([0, 1, 2, 5], ContractError, "out of range"),
+        ([0, 1, -1, 3], ContractError, "out of range"),
+        ([2], ShapeError, r"shape \(4,\), got int64 of shape \(1,\)"),
+        ([[0, 1, 2, 3]], ShapeError, r"shape \(4,\), got int64 of shape \(1, 4\)"),
+        ([0.0, 1.0, 2.0, 3.0], ShapeError, r"integers of shape \(4,\), got float64"),
+    ], ids=["above", "negative", "one_label", "row_of_labels", "float_labels"])
+    def test_bad_labels_rejected(self, labels, error, match):
+        with pytest.raises(error, match=match):
+            sn.batch_cross_entropy(np.zeros((4, 5)), np.array(labels))
 
     def test_batch_form_matches_scalar_form(self):
         rng = np.random.default_rng(14)
@@ -208,3 +246,32 @@ class TestCrossEntropy:
         assert loss == pytest.approx(np.mean(per), abs=1e-12)
         numerical = numerical_gradient(lambda z: sn.batch_cross_entropy(z, labels)[0], logits)
         np.testing.assert_allclose(grad, numerical, atol=1e-9)
+
+
+def names_used(tree, skip=None):
+    """Every name and attribute that code in ``tree`` reads, outside the
+    ``skip`` node; an import or an ``__all__`` string is not a read."""
+    used, stack = set(), [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        stack.extend(ast.iter_child_nodes(node))
+    return used
+
+
+def test_every_public_function_is_called_by_the_system():
+    # a function that only tests call belongs in the tests (ROADMAP aim 2)
+    module = ROOT / "src" / "stagenet" / "scorenorm.py"
+    own = ast.parse(module.read_text(encoding="utf-8"))
+    system = [p for p in sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+              if p != module and not p.name.startswith("test_")]
+    used = set().union(*(names_used(ast.parse(p.read_text(encoding="utf-8"))) for p in system))
+    public = [node for node in own.body
+              if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
+    assert [node.name for node in public
+            if node.name not in used | names_used(own, skip=node)] == []

@@ -41,7 +41,7 @@ def test_options_with_one_value_in_use_are_gone():
     # axis, and the model's mode is whether it has heads
     assert [f.name for f in fields(AugmentPolicy)] == ["mean", "std"]
     sn = stagenet.scorenorm
-    for fn in (sn.softmax, sn.l2_score, sn.softmax_unchecked, sn.l2_score_unchecked):
+    for fn in (sn.softmax, sn.l2_score):
         assert "axis" not in inspect.signature(fn).parameters, fn.__name__
     assert "dtype" not in inspect.signature(SeededRng.normal).parameters
     assert "mode" not in inspect.signature(Model).parameters
