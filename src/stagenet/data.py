@@ -15,6 +15,12 @@ statistics it uses (``AugmentPolicy``) always come from the training split.
 The synthetic dataset for deterministic desk-scale runs,
 ``striped_patterns``, assigns each class an oriented grating that only
 convolutional features separate.
+
+Memory: every dataset is built in place, into one preallocated float32
+(M,3,H,W) array.  Beyond that copy, the CIFAR reader holds one file's
+bytes at a time, decoding each file straight into its rows, and
+``make_synthetic`` holds one float64 chunk of ``_CHUNK`` images and its
+noise draw.
 """
 
 from __future__ import annotations
@@ -46,6 +52,7 @@ _LAYOUTS = {
 CROP_PAD, FLIP_PROB, ERASE_PROB = 4, 0.5, 0.5
 ERASE_AREA, ERASE_ASPECT = (0.02, 0.33), (0.3, 3.3)
 SYNTHETIC_NOISE = 0.25  # std of the Gaussian pixel noise on synthetic images
+_CHUNK = 64  # synthetic images built per float64 scratch block
 
 
 @dataclass
@@ -75,20 +82,30 @@ def parse_cifar_records(buf: bytes, variant: str) -> Dataset:
     The buffer must be a whole number of records; the fine label is used
     for the 100-class variant and any label byte >= N is a data error.
     """
-    rec, n_classes, label_off, _, _ = _layout(variant)
+    rec, n_classes, *_ = _layout(variant)
     if len(buf) == 0 or len(buf) % rec != 0:
         expected = (len(buf) // rec + 1) * rec if len(buf) else rec
         raise FormatError(
             f"byte count {len(buf)} is not a whole number of {rec}-byte records "
             f"(nearest whole size {expected})")
+    n = len(buf) // rec
+    data = Dataset(np.empty((n, 3, 32, 32), dtype=np.float32), np.empty(n, dtype=np.int64),
+                   n_classes)
+    _decode_into(buf, variant, data.images, data.labels)
+    return data
+
+
+def _decode_into(buf: bytes, variant: str, images: np.ndarray, labels: np.ndarray) -> None:
+    """Decode the whole records of ``buf`` into ``images`` (n,3,32,32)
+    float32 and ``labels`` (n,), which the caller allocates."""
+    rec, n_classes, label_off, _, _ = _layout(variant)
     raw = np.frombuffer(buf, dtype=np.uint8).reshape(-1, rec)
-    labels = raw[:, label_off].astype(np.int64)
+    labels[:] = raw[:, label_off]
     if np.any(labels >= n_classes):
         bad = int(labels[labels >= n_classes][0])
         raise DataError(f"label byte {bad} out of range for {n_classes} classes")
-    pixels = raw[:, rec - CIFAR_PIXELS:].reshape(-1, 3, 32, 32)
-    images = pixels.astype(np.float32) / 255.0
-    return Dataset(images, labels, n_classes)
+    images[:] = raw[:, rec - CIFAR_PIXELS:].reshape(-1, 3, 32, 32)
+    images /= 255.0
 
 
 def encode_cifar_records(dataset: Dataset, variant: str) -> bytes:
@@ -102,9 +119,11 @@ def encode_cifar_records(dataset: Dataset, variant: str) -> bytes:
 
 
 def _load_files(root: str, names: list[str], variant: str, expect_each: int) -> Dataset:
-    rec = _layout(variant)[0]
-    parts = []
-    for name in names:
+    rec, n_classes, *_ = _layout(variant)
+    n = len(names) * expect_each
+    data = Dataset(np.empty((n, 3, 32, 32), dtype=np.float32), np.empty(n, dtype=np.int64),
+                   n_classes)
+    for i, name in enumerate(names):
         path = os.path.join(root, name)
         if not os.path.exists(path):
             raise FormatError(f"missing dataset file {path}")
@@ -114,10 +133,10 @@ def _load_files(root: str, names: list[str], variant: str, expect_each: int) -> 
             raise FormatError(
                 f"{path}: expected {expect_each * rec} bytes "
                 f"({expect_each} records), got {len(buf)}")
-        parts.append(parse_cifar_records(buf, variant))
-    images = np.concatenate([p.images for p in parts])
-    labels = np.concatenate([p.labels for p in parts])
-    return Dataset(images, labels, parts[0].n_classes)
+        rows = slice(i * expect_each, (i + 1) * expect_each)
+        _decode_into(buf, variant, data.images[rows], data.labels[rows])
+        del buf  # so that the next file's read does not overlap this one
+    return data
 
 
 def load_cifar(path: str, variant: str = "cifar10"):
@@ -189,36 +208,35 @@ def sample_erase_box(h: int, w: int, rng: SeededRng):
     return None
 
 
-def augment(px: np.ndarray, policy: AugmentPolicy, rng: SeededRng) -> np.ndarray:
-    """Pad-and-crop, flip, normalize, erase one (3,H,W) image; shape kept."""
-    c, h, w = px.shape
-    p = CROP_PAD
-    padded = np.pad(px, ((0, 0), (p, p), (p, p)))
-    top = int(rng.integers(0, 2 * p + 1))
-    left = int(rng.integers(0, 2 * p + 1))
-    px = padded[:, top:top + h, left:left + w]
-    if rng.random() < FLIP_PROB:
-        px = px[:, :, ::-1]
-    px = normalize_batch(px, policy)  # a new array, so erasing writes into it
-    if rng.random() < ERASE_PROB:
-        box = sample_erase_box(h, w, rng)
-        if box is not None:
-            top, left, eh, ew = box
-            noise = rng.uniform(0.0, 1.0, (c, eh, ew), dtype=np.float32)
-            px[:, top:top + eh, left:left + ew] = normalize_batch(noise, policy)
-    return px
-
-
 def augment_batch(dataset: Dataset, indices: np.ndarray, policy: AugmentPolicy,
                   seed: int, epoch: int) -> np.ndarray:
-    """Augment the selected samples; stream (seed, epoch*M + index) per image
-    so results do not depend on batch boundaries or worker layout."""
+    """Pad-and-crop, flip, normalize and erase the selected samples; a new
+    (len(indices),3,H,W) float32 array.  Each image draws from its own
+    stream (seed, epoch*M + index), crop offsets, flip, erase and box in
+    that order, so rows do not depend on batch boundaries or worker layout."""
     m = len(dataset)
-    out = np.empty((len(indices),) + dataset.images.shape[1:], dtype=np.float32)
+    _, c, h, w = dataset.images.shape
+    p = CROP_PAD
+    padded = np.zeros((len(indices), c, h + 2 * p, w + 2 * p), dtype=np.float32)
+    out = np.empty((len(indices), c, h, w), dtype=np.float32)
     base = SeededRng(seed)
+    boxes = []
     for row, idx in enumerate(indices):
         stream = base.split(epoch * m + int(idx))
-        out[row] = augment(dataset.images[int(idx)], policy, stream)
+        padded[row, :, p:p + h, p:p + w] = dataset.images[int(idx)]
+        top = int(stream.integers(0, 2 * p + 1))
+        left = int(stream.integers(0, 2 * p + 1))
+        crop = padded[row, :, top:top + h, left:left + w]
+        out[row] = crop[:, :, ::-1] if stream.random() < FLIP_PROB else crop
+        if stream.random() < ERASE_PROB:
+            box = sample_erase_box(h, w, stream)
+            if box is not None:
+                noise = stream.uniform(0.0, 1.0, (c,) + box[2:], dtype=np.float32)
+                boxes.append((row, box, noise))
+    out -= policy.mean[:, None, None]
+    out /= policy.std[:, None, None]
+    for row, (top, left, eh, ew), noise in boxes:
+        out[row, :, top:top + eh, left:left + ew] = normalize_batch(noise, policy)
     return out
 
 
@@ -235,26 +253,30 @@ def make_synthetic(kind: str, n_samples: int, n_classes: int, image_size: int,
         raise ContractError("need at least 2 classes")
     rng = SeededRng(seed, 31)
     labels = rng.integers(0, n_classes, (n_samples,)).astype(np.int64)
-    images = _striped_patterns(labels, n_classes, image_size, rng)
-    return Dataset(np.clip(images, 0.0, 1.0).astype(np.float32), labels, n_classes)
+    return Dataset(_striped_patterns(labels, n_classes, image_size, rng), labels, n_classes)
 
 
 def _striped_patterns(labels, n_classes, size, rng):
     # each class is an oriented sinusoidal grating; phase and amplitude
-    # jitter per sample keep the task convolutional rather than template
+    # jitter per sample keep the task convolutional rather than template.
+    # A chunk is built in float64 and noised, clipped and cast into its
+    # rows; chunked normal draws consume Philox exactly as one whole draw.
     yy, xx = np.meshgrid(np.arange(size), np.arange(size), indexing="ij")
     angles = np.pi * np.arange(n_classes) / n_classes
     freqs = 2.0 + (np.arange(n_classes) % 3)
     n = len(labels)
     phases = rng.uniform(0.0, 2 * np.pi, (n,))
     amps = rng.uniform(0.8, 1.2, (n,))
-    images = np.empty((n, 3, size, size))
-    for i, lab in enumerate(labels):
-        theta = angles[lab]
-        wave = np.cos(2 * np.pi * freqs[lab]
-                      * (xx * np.cos(theta) + yy * np.sin(theta)) / size + phases[i])
-        base = 0.5 + 0.4 * amps[i] * wave
-        images[i] = base[None, :, :]
-    images += rng.normal(0.0, SYNTHETIC_NOISE, images.shape)
+    images = np.empty((n, 3, size, size), dtype=np.float32)
+    chunk = np.empty((min(n, _CHUNK), 3, size, size))
+    for start in range(0, n, _CHUNK):
+        block = chunk[:min(_CHUNK, n - start)]
+        for j, i in enumerate(range(start, start + len(block))):
+            theta = angles[labels[i]]
+            wave = np.cos(2 * np.pi * freqs[labels[i]]
+                          * (xx * np.cos(theta) + yy * np.sin(theta)) / size + phases[i])
+            block[j] = 0.5 + 0.4 * amps[i] * wave
+        block += rng.normal(0.0, SYNTHETIC_NOISE, block.shape)
+        np.clip(block, 0.0, 1.0, out=block)
+        images[start:start + len(block)] = block
     return images
-

@@ -52,6 +52,8 @@ def batch_cross_entropy(logits: np.ndarray, labels: np.ndarray):
     Returns ``(loss, grad)`` where ``grad = (softmax(logits) - onehot) / B``,
     matching mean reduction over the batch.
     """
+    if logits.ndim != 2:
+        raise ShapeError(f"logits must have shape (B, N), got shape {logits.shape}")
     labels = np.asarray(labels)
     b = logits.shape[0]
     if labels.shape != (b,) or labels.dtype.kind not in "iu":

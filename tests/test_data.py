@@ -1,14 +1,21 @@
-"""Augmentation streams, synthetic data and the CIFAR binary reader."""
+"""Augmentation streams, synthetic data and the CIFAR binary reader; the
+one-shot generator, the per-image augmentation and the per-file reader
+that the batched and in-place forms replaced are oracles local to this
+file."""
 
 import re
+import tracemalloc
 import zlib
 
 import numpy as np
 import pytest
 
-from stagenet.data import (CIFAR10_RECORD, CIFAR10_TEST_FILES, CIFAR10_TRAIN_FILES,
-                           AugmentPolicy, Dataset, _load_files, augment_batch, cifar_available,
-                           encode_cifar_records, load_cifar, make_synthetic, parse_cifar_records)
+from stagenet import data as data_module
+from stagenet.data import (_CHUNK, CIFAR10_RECORD, CIFAR10_TEST_FILES, CIFAR10_TRAIN_FILES,
+                           CROP_PAD, ERASE_PROB, FLIP_PROB, SYNTHETIC_NOISE, AugmentPolicy,
+                           Dataset, _load_files, augment_batch, cifar_available,
+                           encode_cifar_records, load_cifar, make_synthetic, normalize_batch,
+                           parse_cifar_records, sample_erase_box)
 from stagenet.errors import ContractError, DataError, FormatError
 from stagenet.rng import SeededRng
 
@@ -38,9 +45,41 @@ class TestAugmentBatch:
             crc = zlib.crc32(out.tobytes(), crc)
         assert crc == 0x6DAE08DD
 
+    @pytest.mark.parametrize("seed", [0, 3, 91])
+    def test_matches_the_per_image_oracle(self, seed):
+        data = make_synthetic("striped_patterns", 70, 4, 16, seed=seed)
+        policy = AugmentPolicy(mean=[0.5, 0.4, 0.3], std=[0.2, 0.3, 0.4])
+        for epoch in (0, 1, 5):
+            idx = SeededRng(seed, epoch).permutation(len(data))[:40]
+            base = SeededRng(seed)
+            want = np.stack([augment_one(data.images[i], policy,
+                                         base.split(epoch * len(data) + int(i))) for i in idx])
+            assert augment_batch(data, idx, policy, seed, epoch).tobytes() == want.tobytes()
+
     def test_policy_rejects_a_non_positive_std(self):
         with pytest.raises(ContractError, match="std must be positive"):
             AugmentPolicy(std=[1.0, 0.0, 1.0])
+
+
+def augment_one(px, policy, rng):
+    """Pad-and-crop, flip, normalize, erase one (3,H,W) image, drawing from
+    ``rng`` in the order ``augment_batch`` promises."""
+    c, h, w = px.shape
+    p = CROP_PAD
+    padded = np.pad(px, ((0, 0), (p, p), (p, p)))
+    top = int(rng.integers(0, 2 * p + 1))
+    left = int(rng.integers(0, 2 * p + 1))
+    px = padded[:, top:top + h, left:left + w]
+    if rng.random() < FLIP_PROB:
+        px = px[:, :, ::-1]
+    px = normalize_batch(px, policy)
+    if rng.random() < ERASE_PROB:
+        box = sample_erase_box(h, w, rng)
+        if box is not None:
+            top, left, eh, ew = box
+            noise = rng.uniform(0.0, 1.0, (c, eh, ew), dtype=np.float32)
+            px[:, top:top + eh, left:left + ew] = normalize_batch(noise, policy)
+    return px
 
 
 def grid_dataset(n, n_classes):
@@ -96,6 +135,51 @@ def test_unknown_synthetic_kind_rejected():
         make_synthetic("noise", 4, 2, 8, seed=0)
 
 
+def one_shot_striped_patterns(n, n_classes, size, seed):
+    """All gratings in one float64 array, one noise draw, then clip and cast."""
+    rng = SeededRng(seed, 31)
+    labels = rng.integers(0, n_classes, (n,)).astype(np.int64)
+    yy, xx = np.meshgrid(np.arange(size), np.arange(size), indexing="ij")
+    angles = np.pi * np.arange(n_classes) / n_classes
+    freqs = 2.0 + (np.arange(n_classes) % 3)
+    phases = rng.uniform(0.0, 2 * np.pi, (n,))
+    amps = rng.uniform(0.8, 1.2, (n,))
+    images = np.empty((n, 3, size, size))
+    for i, lab in enumerate(labels):
+        theta = angles[lab]
+        wave = np.cos(2 * np.pi * freqs[lab]
+                      * (xx * np.cos(theta) + yy * np.sin(theta)) / size + phases[i])
+        images[i] = (0.5 + 0.4 * amps[i] * wave)[None, :, :]
+    images += rng.normal(0.0, SYNTHETIC_NOISE, images.shape)
+    return np.clip(images, 0.0, 1.0).astype(np.float32), labels
+
+
+class TestSynthetic:
+    @pytest.mark.parametrize("size", [8, 16, 32])
+    @pytest.mark.parametrize("n", [0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 1000])
+    def test_matches_the_one_shot_oracle(self, n, size):
+        for seed in (0, 7, 2024):
+            data = make_synthetic("striped_patterns", n, 10, size, seed)
+            images, labels = one_shot_striped_patterns(n, 10, size, seed)
+            assert data.images.dtype == np.float32 and data.images.shape == (n, 3, size, size)
+            assert data.images.tobytes() == images.tobytes()
+            assert data.labels.tobytes() == labels.tobytes()
+
+    def test_peak_memory_is_the_output_and_one_chunk(self):
+        peak, data = traced_peak(lambda: make_synthetic("striped_patterns", 1000, 10, 32, 5))
+        assert peak <= data.images.nbytes + 4 * 2**20
+
+
+def traced_peak(call):
+    """(peak bytes that numpy and Python allocated during ``call()``, its result)."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
 class TestCifarDirectory:
     def test_missing_file_named(self, tmp_path):
         missing = tmp_path / CIFAR10_TRAIN_FILES[0]
@@ -131,3 +215,36 @@ class TestCifarDirectory:
         assert back.n_classes == n_classes
         assert back.images.tobytes() == data.images.tobytes()
         np.testing.assert_array_equal(back.labels, data.labels)
+
+    @pytest.mark.parametrize("variant,n_classes", [("cifar10", 10), ("cifar100-fine", 100)])
+    def test_load_cifar_matches_the_per_file_oracle(self, tmp_path, monkeypatch, variant,
+                                                    n_classes):
+        # the real layouts hold 60,000 images; the same file lists with a
+        # few records each take the same path through the reader
+        rec, _, label_off, (train, _), (test, _) = data_module._LAYOUTS[variant]
+        monkeypatch.setitem(data_module._LAYOUTS, variant,
+                            (rec, n_classes, label_off, (train, 7), (test, 5)))
+        rng = SeededRng(11)
+        for name, count in [(n, 7) for n in train] + [(n, 5) for n in test]:
+            raw = rng.integers(0, 256, (count, rec)).astype(np.uint8)
+            raw[:, label_off] %= n_classes
+            (tmp_path / name).write_bytes(raw.tobytes())
+        for split, names in zip(load_cifar(str(tmp_path), variant), (train, test)):
+            raws = [np.frombuffer((tmp_path / n).read_bytes(), dtype=np.uint8).reshape(-1, rec)
+                    for n in names]
+            pixels = [r[:, rec - 3072:].reshape(-1, 3, 32, 32).astype(np.float32) / 255.0
+                      for r in raws]
+            assert split.images.tobytes() == np.concatenate(pixels).tobytes()
+            np.testing.assert_array_equal(split.labels,
+                                          np.concatenate([r[:, label_off] for r in raws]))
+            assert split.n_classes == n_classes
+
+    def test_peak_memory_is_the_output_and_a_file(self, tmp_path):
+        names = [f"part{i}.bin" for i in range(5)]
+        for i, name in enumerate(names):
+            raw = SeededRng(i).integers(0, 256, (2000, CIFAR10_RECORD)).astype(np.uint8)
+            raw[:, 0] %= 10
+            (tmp_path / name).write_bytes(raw.tobytes())
+        peak, data = traced_peak(lambda: _load_files(str(tmp_path), names, "cifar10", 2000))
+        assert len(data) == 10000
+        assert peak <= data.images.nbytes + 2 * 2000 * CIFAR10_RECORD

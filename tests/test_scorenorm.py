@@ -226,16 +226,19 @@ class TestConvergenceCondition:
 
 
 class TestCrossEntropy:
-    @pytest.mark.parametrize("labels,error,match", [
-        ([0, 1, 2, 5], ContractError, "out of range"),
-        ([0, 1, -1, 3], ContractError, "out of range"),
-        ([2], ShapeError, r"shape \(4,\), got int64 of shape \(1,\)"),
-        ([[0, 1, 2, 3]], ShapeError, r"shape \(4,\), got int64 of shape \(1, 4\)"),
-        ([0.0, 1.0, 2.0, 3.0], ShapeError, r"integers of shape \(4,\), got float64"),
-    ], ids=["above", "negative", "one_label", "row_of_labels", "float_labels"])
-    def test_bad_labels_rejected(self, labels, error, match):
+    @pytest.mark.parametrize("logits,labels,error,match", [
+        ((4, 5), [0, 1, 2, 5], ContractError, "out of range"),
+        ((4, 5), [0, 1, -1, 3], ContractError, "out of range"),
+        ((4, 5), [2], ShapeError, r"shape \(4,\), got int64 of shape \(1,\)"),
+        ((4, 5), [[0, 1, 2, 3]], ShapeError, r"shape \(4,\), got int64 of shape \(1, 4\)"),
+        ((4, 5), [0.0, 1.0, 2.0, 3.0], ShapeError, r"integers of shape \(4,\), got float64"),
+        ((5,), [0, 1, 2, 3, 4], ShapeError, r"logits must have shape \(B, N\), got shape \(5,\)"),
+        ((2, 3, 4), [0, 1], ShapeError, r"shape \(B, N\), got shape \(2, 3, 4\)"),
+    ], ids=["above", "negative", "one_label", "row_of_labels", "float_labels", "1d_logits",
+            "3d_logits"])
+    def test_bad_labels_rejected(self, logits, labels, error, match):
         with pytest.raises(error, match=match):
-            sn.batch_cross_entropy(np.zeros((4, 5)), np.array(labels))
+            sn.batch_cross_entropy(np.zeros(logits), np.array(labels))
 
     def test_batch_form_matches_scalar_form(self):
         rng = np.random.default_rng(14)
