@@ -14,8 +14,7 @@ the parameter and FLOP accounting.  The root exports the model, its
 heads and the errors; the rest is reached through its module.
 """
 
-from .backbones import (BackboneSpec, BlockSpec, Model, ModelStats, PRESETS,
-                        SetSpec, build, build_preset)
+from .backbones import BackboneSpec, Model, ModelStats, PRESETS, SetSpec, build, build_preset
 from .errors import (BuildError, ConfigError, ContractError, DataError,
                      FormatError, NumericsError, ShapeError, StagenetError)
 from .heads import ClassifierHead, aggregate_scores, predict
@@ -24,7 +23,7 @@ from .rng import SeededRng
 __version__ = "0.1.0"
 
 __all__ = [
-    "BackboneSpec", "BlockSpec", "Model", "ModelStats", "PRESETS", "SetSpec",
+    "BackboneSpec", "Model", "ModelStats", "PRESETS", "SetSpec",
     "build", "build_preset",
     "BuildError", "ConfigError", "ContractError", "DataError", "FormatError",
     "NumericsError", "ShapeError", "StagenetError",

@@ -4,6 +4,10 @@ A backbone is an ordered chain of stages; stage t maps feature h_{t-1}
 to h_t, shrinking spatial extents and growing channels.  ``build``
 attaches either one final classifier (``original`` mode) or one
 classifier head per stage plus a score-sum aggregator (``multi`` mode).
+One ``SetSpec`` describes a stage: ``repeat`` units of one of three kinds
+(``plain``: biased 3x3 conv, relu; ``plain_bn``: bias-free 3x3 conv,
+batchnorm, relu; ``residual``: a basic residual unit), then a 2x2 max
+pool, a stride of 2 in the first unit, or no reduction.
 
 Presets: ``vgg16`` and ``resnet18`` follow their published CIFAR-scale
 layouts (convs listed per stage; VGG pools after every stage, ResNet
@@ -26,7 +30,8 @@ head-score sum) is not counted.
 
 Every composite below the model declares its children with ``Layer.add``
 in execution order, so a child's attribute name is its name in
-``modules()`` and in parameter names (``set1.block0.conv0.weight``).
+``modules()`` and in parameter names (``set1.conv0.weight``,
+``set2.unit0.conv1.weight``).
 """
 
 from __future__ import annotations
@@ -41,89 +46,55 @@ from .heads import NORMALIZERS, ClassifierHead, aggregate_scores
 from .layers import AdaptiveMaxPool, BatchNorm2d, Conv2d, Layer, Linear, MaxPool2x2, ReLU
 from .rng import SeededRng
 
-BlockKind = Literal["plain_conv", "residual_basic"]
+StageKind = Literal["plain", "plain_bn", "residual"]
 Reduction = Literal["pool", "stride", "none"]
 
 
 @dataclass(frozen=True)
-class BlockSpec:
-    """One table cell: a kernel/channel plan repeated ``repeat`` times."""
-    kind: BlockKind
-    plan: tuple  # ((kernel, out_channels), ...)
-    repeat: int = 1
-    batchnorm: bool = True
-
-    def __post_init__(self):
-        if self.repeat < 1:
-            raise BuildError("repeat must be >= 1")
-        if not self.plan:
-            raise BuildError("empty channel plan")
-        for k, ch in self.plan:
-            if k not in (1, 3):
-                raise BuildError(f"kernel must be 1 or 3, got {k}")
-            if ch < 1:
-                raise BuildError(f"channels must be positive, got {ch}")
-
-
-@dataclass(frozen=True)
 class SetSpec:
-    """One stage: its blocks plus how (or whether) it reduces spatial size."""
-    blocks: tuple
+    """One stage: ``repeat`` units of one ``kind``, each ``channels`` wide,
+    then its spatial ``reduction``.
+
+    Kinds: ``"plain"`` is a biased 3x3 conv, then relu; ``"plain_bn"`` a
+    bias-free 3x3 conv, then batchnorm, then relu; ``"residual"`` a basic
+    residual unit, two 3x3 convs with a 1x1 projection on the skip when the
+    shape changes.  Reductions: ``"pool"`` puts a 2x2 max pool after the
+    units, ``"stride"`` gives the first unit stride 2, ``"none"`` keeps the
+    spatial size.
+    """
+    kind: StageKind
+    channels: int
+    repeat: int = 1
     reduction: Reduction = "none"
 
 
 @dataclass(frozen=True)
 class BackboneSpec:
-    name: str
     sets: tuple
     in_channels: int = 3
-
-    @property
-    def n_sets(self) -> int:
-        return len(self.sets)
 
 
 # --------------------------------------------------------------------------
 # composite modules
 # --------------------------------------------------------------------------
 
-class PlainConvBlock(Layer):
-    """conv(+bn)+relu chain; bias only when no batchnorm follows the conv."""
-
-    def __init__(self, in_channels: int, spec: BlockSpec, stride_first: int,
-                 rng: SeededRng):
-        super().__init__()
-        ch = in_channels
-        for i, (k, out_ch) in enumerate(spec.plan * spec.repeat):
-            self.add(f"conv{i}", Conv2d(ch, out_ch, k, stride=stride_first if i == 0 else 1,
-                                        pad=k // 2, bias=not spec.batchnorm, rng=rng))
-            if spec.batchnorm:
-                self.add(f"bn{i}", BatchNorm2d(out_ch))
-            self.add(f"relu{i}", ReLU())
-            ch = out_ch
-        self.out_channels = ch
-
-
 class _ResidualUnit(Layer):
     """conv-bn-relu-conv-bn with identity or projected skip, then relu."""
 
-    def __init__(self, in_channels: int, plan, stride: int, rng: SeededRng):
+    def __init__(self, in_channels: int, channels: int, stride: int, rng: SeededRng):
         super().__init__()
-        (k1, ch1), (k2, ch2) = plan
-        self.add("conv1", Conv2d(in_channels, ch1, k1, stride=stride, pad=k1 // 2,
+        self.add("conv1", Conv2d(in_channels, channels, 3, stride=stride, pad=1,
                                  bias=False, rng=rng))
-        self.add("bn1", BatchNorm2d(ch1))
+        self.add("bn1", BatchNorm2d(channels))
         self.add("relu1", ReLU())
-        self.add("conv2", Conv2d(ch1, ch2, k2, stride=1, pad=k2 // 2,
-                                 bias=False, rng=rng))
-        self.add("bn2", BatchNorm2d(ch2))
+        self.add("conv2", Conv2d(channels, channels, 3, stride=1, pad=1, bias=False, rng=rng))
+        self.add("bn2", BatchNorm2d(channels))
         self.proj = None
-        if stride != 1 or in_channels != ch2:
-            self.add("proj", Conv2d(in_channels, ch2, 1, stride=stride, pad=0,
+        if stride != 1 or in_channels != channels:
+            self.add("proj", Conv2d(in_channels, channels, 1, stride=stride, pad=0,
                                     bias=False, rng=rng))
-            self.add("proj_bn", BatchNorm2d(ch2))
+            self.add("proj_bn", BatchNorm2d(channels))
         self.add("relu2", ReLU())
-        self.out_channels = ch2
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         main = self.relu1(self.bn1(self.conv1(x)))
@@ -142,47 +113,35 @@ class _ResidualUnit(Layer):
         return gmain + gskip
 
 
-class ResidualBlock(Layer):
-    """``repeat`` stacked residual units; stride applies to the first."""
-
-    def __init__(self, in_channels: int, spec: BlockSpec, stride_first: int,
-                 rng: SeededRng):
-        super().__init__()
-        if len(spec.plan) != 2:
-            raise BuildError("residual_basic needs a two-conv plan")
-        ch = in_channels
-        for i in range(spec.repeat):
-            unit = self.add(f"unit{i}", _ResidualUnit(ch, spec.plan, stride_first if i == 0 else 1,
-                                                      rng))
-            ch = unit.out_channels
-        self.out_channels = ch
-
-
-_BLOCK_BUILDERS = {
-    "plain_conv": PlainConvBlock,
-    "residual_basic": ResidualBlock,
-}
-
-
 class SetModule(Layer):
-    """One stage: its blocks plus the stage-level spatial reduction."""
+    """One stage: its ``repeat`` units, then the stage-level reduction.  A
+    plain stage's children are ``conv<i>`` (``bn<i>``) ``relu<i>``, a
+    residual stage's ``unit<i>``; a pooled stage ends in ``pool``."""
 
     def __init__(self, index: int, in_channels: int, spec: SetSpec, rng: SeededRng):
         super().__init__()
+        if spec.kind not in get_args(StageKind):
+            raise BuildError(f"unknown stage kind {spec.kind!r}")
         if spec.reduction not in get_args(Reduction):
             raise BuildError(f"unknown reduction {spec.reduction!r}")
+        for field in ("channels", "repeat"):
+            if getattr(spec, field) < 1:
+                raise BuildError(f"{field} must be >= 1, got {getattr(spec, field)}")
         self.index = index
-        ch = in_channels
-        stride_first = 2 if spec.reduction == "stride" else 1
-        for bi, bspec in enumerate(spec.blocks):
-            builder = _BLOCK_BUILDERS.get(bspec.kind)
-            if builder is None:
-                raise BuildError(f"unknown block kind {bspec.kind!r}")
-            block = self.add(f"block{bi}", builder(ch, bspec, stride_first if bi == 0 else 1, rng))
-            ch = block.out_channels
+        ch, stride = in_channels, 2 if spec.reduction == "stride" else 1
+        for i in range(spec.repeat):
+            if spec.kind == "residual":
+                self.add(f"unit{i}", _ResidualUnit(ch, spec.channels, stride, rng))
+            else:
+                bn = spec.kind == "plain_bn"
+                self.add(f"conv{i}", Conv2d(ch, spec.channels, 3, stride=stride, pad=1,
+                                            bias=not bn, rng=rng))
+                if bn:
+                    self.add(f"bn{i}", BatchNorm2d(spec.channels))
+                self.add(f"relu{i}", ReLU())
+            ch, stride = spec.channels, 1
         if spec.reduction == "pool":
             self.add("pool", MaxPool2x2())
-        self.out_channels = ch
 
 
 class OriginalClassifier(Layer):
@@ -360,66 +319,55 @@ def build(spec: BackboneSpec, mode: str = "original", n_classes: int = 10,
             f"normalizer must be one of {tuple(NORMALIZERS)}, got {normalizer!r}")
     if mode == "multi" and len(hidden) > 0:
         raise ContractError(f"hidden widths apply to mode 'original' only, got {tuple(hidden)}")
-    if spec.n_sets < 1:
+    if not spec.sets:
         raise BuildError("backbone needs at least one set")
     rng = SeededRng(seed, 1000)
-    sets = []
-    ch = spec.in_channels
+    sets, ch = [], spec.in_channels
     for i, sspec in enumerate(spec.sets, start=1):
-        s = SetModule(i, ch, sspec, rng)
-        sets.append(s)
-        ch = s.out_channels
-    target = sets[-1].out_channels
+        sets.append(SetModule(i, ch, sspec, rng))
+        ch = sspec.channels
     if mode == "multi":
-        heads = [ClassifierHead(t, s.out_channels, target, n_classes,
+        heads = [ClassifierHead(t, sspec.channels, ch, n_classes,
                                 normalizer=normalizer, rng=rng)
-                 for t, s in enumerate(sets, start=1)]
+                 for t, sspec in enumerate(spec.sets, start=1)]
         return Model(spec, sets, heads, None)
-    classifier = OriginalClassifier(target, n_classes, hidden=hidden, rng=rng)
+    classifier = OriginalClassifier(ch, n_classes, hidden=hidden, rng=rng)
     return Model(spec, sets, None, classifier)
-
-
-def _plain(ch: int, n: int, bn: bool) -> BlockSpec:
-    return BlockSpec("plain_conv", ((3, ch),), repeat=n, batchnorm=bn)
-
-
-def _res(ch: int, n: int) -> BlockSpec:
-    return BlockSpec("residual_basic", ((3, ch), (3, ch)), repeat=n)
 
 
 PRESETS = {
     # thirteen 3x3 convs in five pooled stages (64-64-128-256-512 plan)
-    "vgg16": BackboneSpec("vgg16", (
-        SetSpec((_plain(64, 2, False),), "pool"),
-        SetSpec((_plain(128, 2, False),), "pool"),
-        SetSpec((_plain(256, 3, False),), "pool"),
-        SetSpec((_plain(512, 3, False),), "pool"),
-        SetSpec((_plain(512, 3, False),), "pool"),
+    "vgg16": BackboneSpec((
+        SetSpec("plain", 64, 2, "pool"),
+        SetSpec("plain", 128, 2, "pool"),
+        SetSpec("plain", 256, 3, "pool"),
+        SetSpec("plain", 512, 3, "pool"),
+        SetSpec("plain", 512, 3, "pool"),
     )),
     # stem conv plus four two-unit residual stages; strides in stages 3-5
-    "resnet18": BackboneSpec("resnet18", (
-        SetSpec((_plain(64, 1, True),), "none"),
-        SetSpec((_res(64, 2),), "none"),
-        SetSpec((_res(128, 2),), "stride"),
-        SetSpec((_res(256, 2),), "stride"),
-        SetSpec((_res(512, 2),), "stride"),
+    "resnet18": BackboneSpec((
+        SetSpec("plain_bn", 64),
+        SetSpec("residual", 64, 2),
+        SetSpec("residual", 128, 2, "stride"),
+        SetSpec("residual", 256, 2, "stride"),
+        SetSpec("residual", 512, 2, "stride"),
     )),
     # three pooled plain stages at reduced widths (8-16-32)
-    "mini_vgg": BackboneSpec("mini_vgg", (
-        SetSpec((_plain(8, 1, False),), "pool"),
-        SetSpec((_plain(16, 2, False),), "pool"),
-        SetSpec((_plain(32, 2, False),), "pool"),
+    "mini_vgg": BackboneSpec((
+        SetSpec("plain", 8, 1, "pool"),
+        SetSpec("plain", 16, 2, "pool"),
+        SetSpec("plain", 32, 2, "pool"),
     )),
     # stem plus three single-unit residual stages, strides in stages 2-4
-    "mini_resnet": BackboneSpec("mini_resnet", (
-        SetSpec((_plain(8, 1, True),), "none"),
-        SetSpec((_res(16, 1),), "stride"),
-        SetSpec((_res(32, 1),), "stride"),
-        SetSpec((_res(32, 1),), "stride"),
+    "mini_resnet": BackboneSpec((
+        SetSpec("plain_bn", 8),
+        SetSpec("residual", 16, 1, "stride"),
+        SetSpec("residual", 32, 1, "stride"),
+        SetSpec("residual", 32, 1, "stride"),
     )),
     # single pooled stage of two plain convs; the degenerate one-set chain
-    "mini_cnn": BackboneSpec("mini_cnn", (
-        SetSpec((_plain(16, 2, False),), "pool"),
+    "mini_cnn": BackboneSpec((
+        SetSpec("plain", 16, 2, "pool"),
     )),
 }
 

@@ -55,8 +55,8 @@ class ClassifierHead(Layer):
     """conv -> pool -> bn -> fc -> softplus -> normalizer on stage t's feature.
 
     Forward runs the chain.  Backward runs it reversed down to the pool,
-    whose dense dx is computed and reported to a hook but not used: the
-    conv takes the pooled gradient at the pool's argmax positions instead.
+    which runs no backward: it hands over its argmax, and the conv takes
+    the pooled gradient at those positions.
     """
 
     def __init__(self, t: int, in_channels: int, target_channels: int,
@@ -76,8 +76,7 @@ class ClassifierHead(Layer):
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         for child in (self.norm, self.act, self.fc, self.bn):
             grad_out = child.backprop(grad_out)
-        pos = self.pool.argmax()
-        self.pool.backprop(grad_out)
+        pos = self.pool.take_argmax(grad_out)
         return self.conv.reported("bwd", self.conv.backward_at(pos, grad_out.reshape(pos.shape)))
 
 

@@ -96,14 +96,15 @@ class Layer:
     Parameters, gradients, buffers (non-trainable state that checkpoints
     persist, in the ``buffers`` dict) and the training flag are reached by
     one walk, ``modules()``, under qualified names such as
-    ``set1.block0.conv0``; ``astype`` casts them all (every layer starts
+    ``set1.conv0``; ``astype`` casts them all (every layer starts
     in float32).  ``Model`` writes each node's qualified name into its
     ``name`` (``None`` outside a model); a node's errors start with that
     name, or with its ``kind`` outside a model.  A parent calls a child as
     ``child(x)`` and ``child.backprop(g)``, which run ``forward``/
     ``backward`` and then, in ``with root.hooked(fn):``, report
     ``fn(name, layer, "fwd", output)`` or ``fn(name, layer, "bwd", dx)`` in
-    execution order.  Training is not
+    execution order: each node reports each forward and each backward it
+    runs (a head's pool runs no backward).  Training is not
     re-entrant: one forward's caches serve one backward, which takes them.
     An eval-mode call ``child(x)`` drops the cache its forward left, so eval
     holds no backward state and a backward after it raises.
@@ -552,12 +553,11 @@ class AdaptiveMaxPool(Layer):
         out = np.take_along_axis(flat, idx[..., None], axis=-1)
         return self._keep((x.shape, idx), np.ascontiguousarray(out.reshape(b, c, 1, 1)))
 
-    def argmax(self) -> np.ndarray:
-        """(B, C) flat H*W index of each channel's max in the last forward,
-        left cached for ``backward``."""
-        if self._cache is None:
-            raise ContractError(f"{self.where}: no forward to read the argmax of")
-        return self._cache[1]
+    def take_argmax(self, grad_out: np.ndarray) -> np.ndarray:
+        """Take the last forward's cache, as ``backward`` would, but return
+        the (B, C) flat H*W index of each channel's max instead of a dense
+        dx: for a caller that routes ``grad_out`` there itself."""
+        return self._need_cache(grad_out)[1]
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         x_shape, idx = self._need_cache(grad_out)

@@ -44,16 +44,23 @@ class TrainConfig:
     seed: int = 0
 
     def validate(self):
-        if self.learning_rate <= 0 or self.min_lr <= 0:
-            raise ConfigError("learning rates must be positive")
-        if not (0 < self.scheduler_factor < 1):
-            raise ConfigError("scheduler factor must lie in (0,1)")
-        if self.batch_size < 1:
-            raise ConfigError("batch size must be >= 1")
-        if self.epochs < 0:
-            raise ConfigError("epochs must be >= 0")
-        if self.scheduler_patience < 1:
-            raise ConfigError("patience must be >= 1")
+        """Raise ``ConfigError`` naming the first field outside its range;
+        NaN lies outside every range."""
+        rules = (
+            ("learning_rate", 0 < self.learning_rate < np.inf, "positive and finite"),
+            ("batch_size", self.batch_size >= 1, ">= 1"),
+            ("epochs", self.epochs >= 0, ">= 0"),
+            ("beta1", 0 <= self.beta1 < 1, "in [0, 1)"),
+            ("beta2", 0 <= self.beta2 < 1, "in [0, 1)"),
+            ("adam_eps", self.adam_eps > 0, "> 0"),
+            ("scheduler_factor", 0 < self.scheduler_factor < 1, "in (0, 1)"),
+            ("scheduler_patience", self.scheduler_patience >= 1, ">= 1"),
+            ("scheduler_threshold", self.scheduler_threshold >= 0, ">= 0"),
+            ("min_lr", 0 < self.min_lr < np.inf, "positive and finite"),
+        )
+        for name, ok, rule in rules:
+            if not ok:
+                raise ConfigError(f"{name} must be {rule}, got {getattr(self, name)!r}")
         return self
 
 

@@ -75,6 +75,17 @@ class TestHeadBackward:
         with pytest.raises(ContractError):
             make_head().backward(np.zeros((1, 4)))
 
+    def test_backward_takes_the_pool_cache_without_a_pool_backward(self):
+        head = make_head()
+        head(SeededRng(7).uniform(-1, 1, (2, 3, 5, 5)))
+        calls = []
+        with head.hooked(lambda name, layer, d, out: calls.append((d, name))):
+            head.backprop(np.ones((2, 4)))
+        assert ("bwd", "pool") not in calls and ("bwd", "conv") in calls
+        assert [name for name, layer in head.modules() if layer._cache is not None] == []
+        with pytest.raises(ContractError, match="adaptive_maxpool: backward called without"):
+            head.pool.take_argmax(np.ones((2, 6, 1, 1)))
+
 
 def argmax_and_dense_backward(head, x, weights):
     """The head's backward, then the dense ``conv.backward(pool.backward(g))``

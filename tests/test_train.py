@@ -23,7 +23,7 @@ import stagenet.train
 from stagenet import build_preset
 from stagenet.backbones import Model
 from stagenet.data import AugmentPolicy, make_synthetic
-from stagenet.errors import ContractError, FormatError, NumericsError, ShapeError
+from stagenet.errors import ConfigError, ContractError, FormatError, NumericsError, ShapeError
 from stagenet.rng import SeededRng
 from stagenet.train import (Adam, EpochRow, PlateauScheduler, RunMetrics, TrainConfig, evaluate,
                             load_checkpoint, restore_model, restore_optimizer, run_training,
@@ -49,6 +49,16 @@ def test_options_with_one_value_in_use_are_gone():
     assert "seconds" not in {f.name for f in fields(EpochRow)}
     assert [f.name for f in fields(RunMetrics)] == ["rows"]
     assert not hasattr(RunMetrics, "add")
+
+
+@pytest.mark.parametrize("field,value", [
+    ("learning_rate", np.nan), ("min_lr", np.nan),
+    ("scheduler_threshold", -1e-4), ("scheduler_threshold", np.nan),
+    ("beta1", -0.5), ("beta1", 1.0), ("beta2", -0.5), ("beta2", 1.0),
+    ("adam_eps", 0.0)])
+def test_config_value_outside_its_range_is_named(field, value):
+    with pytest.raises(ConfigError, match=f"^{field} must be .*, got {value}$"):
+        replace(TrainConfig(), **{field: value}).validate()
 
 
 class TestNumerics:
@@ -234,7 +244,7 @@ class TestCheckpointKeys:
         for k, v in model.named_params().items():
             assert np.array_equal(v, ckpt.tensors[f"param:{k}"]), k
 
-    @pytest.mark.parametrize("mode,key", [("original", "param:set1.block0.conv0.weight"),
+    @pytest.mark.parametrize("mode,key", [("original", "param:set1.conv0.weight"),
                                           ("multi", "buffer:head2.bn.running_var")])
     def test_missing_tensor_rejected(self, tmp_path, mode, key):
         ckpt = load_checkpoint(saved_checkpoint(tmp_path, mode))
@@ -244,7 +254,7 @@ class TestCheckpointKeys:
 
     def test_extra_tensor_rejected_before_anything_is_copied(self, tmp_path):
         ckpt = load_checkpoint(saved_checkpoint(tmp_path, "original"))
-        ckpt.tensors["param:set9.block0.conv0.weight"] = np.zeros(3, dtype=np.float32)
+        ckpt.tensors["param:set9.conv0.weight"] = np.zeros(3, dtype=np.float32)
         model = build_preset("mini_vgg", "original", n_classes=4, seed=2)
         before = {k: v.copy() for k, v in model.named_params().items()}
         with pytest.raises(ShapeError, match="set9"):
@@ -389,7 +399,7 @@ class TestOptimizerKeys:
             assert np.array_equal(m, m0) and np.array_equal(opt.v[k], v0), k
 
     def test_missing_moment_rejected(self, tmp_path):
-        key = "adam_m:set2.block0.conv1.weight"
+        key = "adam_m:set2.conv1.weight"
         self.restore_fails(tmp_path, lambda t: t.pop(key), key)
 
     def test_extra_moment_rejected(self, tmp_path):
@@ -397,7 +407,7 @@ class TestOptimizerKeys:
         self.restore_fails(tmp_path, lambda t: t.update({key: np.zeros(3, np.float32)}), key)
 
     def test_wrong_shape_moment_rejected(self, tmp_path):
-        key = "adam_v:set1.block0.conv0.bias"
+        key = "adam_v:set1.conv0.bias"
         self.restore_fails(tmp_path, lambda t: t.update({key: np.zeros(1, np.float32)}), key)
 
 
