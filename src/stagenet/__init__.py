@@ -4,11 +4,11 @@ Backbones are chains of stages; every stage can feed its own classifier
 head (3x3 conv, global max pool, batchnorm, linear, softplus, score
 normalizer) and the per-head score vectors are summed into the model
 output.  Every layer is float32; ``Layer.astype`` casts a built tree, as
-the finite-difference checks (``gradcheck``) need float64.  Everything is
-seeded and deterministic.  The package is a library with no command line:
-``train`` holds the training loop, Adam, the plateau scheduler and binary
+the finite-difference checks need float64.  Everything is seeded and
+deterministic.  The package is a library with no command line: ``train``
+holds the training loop, Adam, the plateau scheduler and binary
 checkpoints, ``scorenorm`` the two score normalizers, their
-vector-Jacobian products and the cross-entropy loss, ``data`` the CIFAR
+vector-Jacobian products and the cross-entropy loss, ``data`` the CIFAR-10
 reader, synthetic datasets and augmentation, and ``Model.count_stats``
 the parameter and FLOP accounting.  The root exports the model, its
 heads and the errors; the rest is reached through its module.

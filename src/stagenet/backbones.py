@@ -321,6 +321,10 @@ def build(spec: BackboneSpec, mode: str = "original", n_classes: int = 10,
         raise ContractError(f"hidden widths apply to mode 'original' only, got {tuple(hidden)}")
     if not spec.sets:
         raise BuildError("backbone needs at least one set")
+    if spec.in_channels < 1:
+        raise BuildError(f"in_channels must be >= 1, got {spec.in_channels}")
+    if any(width < 1 for width in hidden):
+        raise BuildError(f"hidden widths must be >= 1, got {tuple(hidden)}")
     rng = SeededRng(seed, 1000)
     sets, ch = [], spec.in_channels
     for i, sspec in enumerate(spec.sets, start=1):

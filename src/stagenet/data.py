@@ -1,9 +1,7 @@
 """Dataset ingestion, augmentation, and synthetic data generation.
 
-CIFAR binary records are one label byte (or coarse+fine pair for the
-100-class variant) followed by 3072 channel-planar pixel bytes; decoded
-pixels live in [0,1].  ``_LAYOUTS`` holds each variant's record layout
-and file lists.
+A CIFAR-10 binary record is one label byte followed by 3072
+channel-planar pixel bytes; decoded pixels live in [0,1].
 
 The train-time recipe is fixed: pad by ``CROP_PAD`` and crop back,
 flip horizontally with ``FLIP_PROB``, normalize per channel, then with
@@ -35,17 +33,10 @@ from .rng import SeededRng
 
 CIFAR_PIXELS = 3072
 CIFAR10_RECORD = 1 + CIFAR_PIXELS
+CIFAR10_CLASSES = 10
 CIFAR10_TRAIN_FILES = [f"data_batch_{i}.bin" for i in range(1, 6)]
 CIFAR10_TEST_FILES = ["test_batch.bin"]
-
-# variant: (record bytes, classes, label offset, (train files, records per
-# file), (test files, records per file)); the 100-class record puts its
-# coarse label byte before the fine one
-_LAYOUTS = {
-    "cifar10": (CIFAR10_RECORD, 10, 0, (CIFAR10_TRAIN_FILES, 10000),
-                (CIFAR10_TEST_FILES, 10000)),
-    "cifar100-fine": (2 + CIFAR_PIXELS, 100, 1, (["train.bin"], 50000), (["test.bin"], 10000)),
-}
+CIFAR10_FILE_RECORDS = 10000  # records in each file of either split
 
 # the augmentation recipe: crop padding, flip and erase probabilities, and
 # the erased box's share of the image area, then its aspect ratio
@@ -70,87 +61,51 @@ class Dataset:
         return Dataset(self.images[idx], self.labels[idx], self.n_classes)
 
 
-def _layout(variant: str) -> tuple:
-    if variant not in _LAYOUTS:
-        raise ContractError(f"unknown variant {variant!r}")
-    return _LAYOUTS[variant]
-
-
-def parse_cifar_records(buf: bytes, variant: str) -> Dataset:
-    """Decode a raw CIFAR batch buffer into a Dataset.
-
-    The buffer must be a whole number of records; the fine label is used
-    for the 100-class variant and any label byte >= N is a data error.
-    """
-    rec, n_classes, *_ = _layout(variant)
-    if len(buf) == 0 or len(buf) % rec != 0:
-        expected = (len(buf) // rec + 1) * rec if len(buf) else rec
-        raise FormatError(
-            f"byte count {len(buf)} is not a whole number of {rec}-byte records "
-            f"(nearest whole size {expected})")
-    n = len(buf) // rec
-    data = Dataset(np.empty((n, 3, 32, 32), dtype=np.float32), np.empty(n, dtype=np.int64),
-                   n_classes)
-    _decode_into(buf, variant, data.images, data.labels)
-    return data
-
-
-def _decode_into(buf: bytes, variant: str, images: np.ndarray, labels: np.ndarray) -> None:
+def _decode_into(buf: bytes, images: np.ndarray, labels: np.ndarray) -> None:
     """Decode the whole records of ``buf`` into ``images`` (n,3,32,32)
-    float32 and ``labels`` (n,), which the caller allocates."""
-    rec, n_classes, label_off, _, _ = _layout(variant)
-    raw = np.frombuffer(buf, dtype=np.uint8).reshape(-1, rec)
-    labels[:] = raw[:, label_off]
-    if np.any(labels >= n_classes):
-        bad = int(labels[labels >= n_classes][0])
-        raise DataError(f"label byte {bad} out of range for {n_classes} classes")
-    images[:] = raw[:, rec - CIFAR_PIXELS:].reshape(-1, 3, 32, 32)
+    float32 and ``labels`` (n,), which the caller allocates; a label byte
+    >= 10 is a data error."""
+    raw = np.frombuffer(buf, dtype=np.uint8).reshape(-1, CIFAR10_RECORD)
+    labels[:] = raw[:, 0]
+    if np.any(labels >= CIFAR10_CLASSES):
+        bad = int(labels[labels >= CIFAR10_CLASSES][0])
+        raise DataError(f"label byte {bad} out of range for {CIFAR10_CLASSES} classes")
+    images[:] = raw[:, 1:].reshape(-1, 3, 32, 32)
     images /= 255.0
 
 
-def encode_cifar_records(dataset: Dataset, variant: str) -> bytes:
-    """Inverse of ``parse_cifar_records`` (coarse byte written as 0)."""
-    label_off = _layout(variant)[2]
-    n = len(dataset)
-    pixels = np.round(dataset.images * 255.0).astype(np.uint8).reshape(n, CIFAR_PIXELS)
-    labels = dataset.labels.astype(np.uint8).reshape(n, 1)
-    coarse = np.zeros((n, label_off), dtype=np.uint8)
-    return np.concatenate([coarse, labels, pixels], axis=1).tobytes()
-
-
-def _load_files(root: str, names: list[str], variant: str, expect_each: int) -> Dataset:
-    rec, n_classes, *_ = _layout(variant)
+def _load_files(root: str, names: list[str], expect_each: int) -> Dataset:
     n = len(names) * expect_each
     data = Dataset(np.empty((n, 3, 32, 32), dtype=np.float32), np.empty(n, dtype=np.int64),
-                   n_classes)
+                   CIFAR10_CLASSES)
     for i, name in enumerate(names):
         path = os.path.join(root, name)
         if not os.path.exists(path):
             raise FormatError(f"missing dataset file {path}")
         with open(path, "rb") as fh:
             buf = fh.read()
-        if len(buf) != expect_each * rec:
+        if len(buf) != expect_each * CIFAR10_RECORD:
             raise FormatError(
-                f"{path}: expected {expect_each * rec} bytes "
+                f"{path}: expected {expect_each * CIFAR10_RECORD} bytes "
                 f"({expect_each} records), got {len(buf)}")
         rows = slice(i * expect_each, (i + 1) * expect_each)
-        _decode_into(buf, variant, data.images[rows], data.labels[rows])
+        _decode_into(buf, data.images[rows], data.labels[rows])
         del buf  # so that the next file's read does not overlap this one
     return data
 
 
-def load_cifar(path: str, variant: str = "cifar10"):
-    """Load the canonical binary layout from a directory.
+def load_cifar(path: str):
+    """Load the CIFAR-10 binary layout from a directory.
 
     Returns (train, test) with 50000/10000 images scaled into [0,1].
     """
-    *_, train, test = _layout(variant)
-    return tuple(_load_files(path, names, variant, each) for names, each in (train, test))
+    return tuple(_load_files(path, names, CIFAR10_FILE_RECORDS)
+                 for names in (CIFAR10_TRAIN_FILES, CIFAR10_TEST_FILES))
 
 
-def cifar_available(path: str, variant: str = "cifar10") -> bool:
-    *_, (train, _), (test, _) = _layout(variant)
-    return bool(path) and all(os.path.exists(os.path.join(path, n)) for n in train + test)
+def cifar_available(path: str) -> bool:
+    return bool(path) and all(os.path.exists(os.path.join(path, n))
+                              for n in CIFAR10_TRAIN_FILES + CIFAR10_TEST_FILES)
 
 
 # --------------------------------------------------------------------------

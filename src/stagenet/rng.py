@@ -17,9 +17,11 @@ class SeededRng:
     def __init__(self, seed: int, stream: int = 0):
         self.seed = int(seed)
         self.stream = int(stream)
-        self._gen = np.random.Generator(
-            np.random.Philox(key=[self.seed & 0xFFFFFFFFFFFFFFFF, self.stream & 0xFFFFFFFFFFFFFFFF])
-        )
+        # a masked key >= 2**63 (every negative one among them) keeps its 64
+        # bits in a uint64 array; a Python list would pass it through float64
+        mask = 0xFFFFFFFFFFFFFFFF
+        self._gen = np.random.Generator(np.random.Philox(
+            key=np.array([self.seed & mask, self.stream & mask], dtype=np.uint64)))
 
     def split(self, stream: int) -> "SeededRng":
         """Independent stream for the same seed, e.g. one per epoch or sample."""

@@ -15,9 +15,9 @@ from typing import Callable
 
 import numpy as np
 
-from . import layers as L
-from .errors import ContractError
-from .rng import SeededRng
+from stagenet import layers as L
+from stagenet.errors import ContractError
+from stagenet.rng import SeededRng
 
 DEFAULT_EPS = 1e-5
 DEFAULT_TOL = 1e-4

@@ -10,11 +10,12 @@ import pytest
 from stagenet import build, build_preset
 from stagenet.backbones import PRESETS, BackboneSpec, OriginalClassifier, SetSpec, StageKind
 from stagenet.errors import BuildError, ContractError, ShapeError
-from stagenet.gradcheck import check_layer, check_model
 from stagenet.heads import ClassifierHead
 from stagenet.layers import Conv2d, Layer
 from stagenet.rng import SeededRng
 from stagenet.scorenorm import batch_cross_entropy
+
+from gradcheck import check_layer, check_model
 
 N = 10
 
@@ -105,6 +106,16 @@ class TestStructure:
         stage = {"kind": kind, "channels": 4, "repeat": 1, field: 0}
         with pytest.raises(BuildError, match=f"^{field} must be >= 1, got 0$"):
             build(BackboneSpec((SetSpec(**stage),)))
+
+    @pytest.mark.parametrize("call,match", [
+        (lambda: build(BackboneSpec((SetSpec("plain", 4),), in_channels=0)),
+         "^in_channels must be >= 1, got 0$"),
+        (lambda: build_preset("mini_cnn", "original", hidden=(0,)),
+         r"^hidden widths must be >= 1, got \(0,\)$"),
+    ], ids=["in_channels", "hidden"])
+    def test_zero_fan_in_rejected(self, call, match):
+        with pytest.raises(BuildError, match=match):
+            call()
 
     @pytest.mark.parametrize("mode", ["original", "multi"])
     @pytest.mark.parametrize("option,match", [({"n_classes": 1}, "at least 2 categories"),

@@ -1,7 +1,7 @@
-"""Augmentation streams, synthetic data and the CIFAR binary reader; the
-one-shot generator, the per-image augmentation and the per-file reader
-that the batched and in-place forms replaced are oracles local to this
-file."""
+"""Augmentation streams, synthetic data and the CIFAR-10 binary reader;
+the one-shot generator, the per-image augmentation and the per-file
+reader that the batched and in-place forms replaced are oracles local to
+this file, and so is the record writer that feeds the reader."""
 
 import re
 import tracemalloc
@@ -12,10 +12,9 @@ import pytest
 
 from stagenet import data as data_module
 from stagenet.data import (_CHUNK, CIFAR10_RECORD, CIFAR10_TEST_FILES, CIFAR10_TRAIN_FILES,
-                           CROP_PAD, ERASE_PROB, FLIP_PROB, SYNTHETIC_NOISE, AugmentPolicy,
-                           Dataset, _load_files, augment_batch, cifar_available,
-                           encode_cifar_records, load_cifar, make_synthetic, normalize_batch,
-                           parse_cifar_records, sample_erase_box)
+                           CIFAR_PIXELS, CROP_PAD, ERASE_PROB, FLIP_PROB, SYNTHETIC_NOISE,
+                           AugmentPolicy, Dataset, _load_files, augment_batch, cifar_available,
+                           load_cifar, make_synthetic, normalize_batch, sample_erase_box)
 from stagenet.errors import ContractError, DataError, FormatError
 from stagenet.rng import SeededRng
 
@@ -90,44 +89,13 @@ def grid_dataset(n, n_classes):
     return Dataset(levels / 255.0, labels, n_classes)
 
 
-@pytest.mark.parametrize("variant,n_classes,record", [("cifar10", 10, 3073),
-                                                      ("cifar100-fine", 100, 3074)])
-class TestCifarRecords:
-    def test_encode_parse_round_trip(self, variant, n_classes, record):
-        data = grid_dataset(5, n_classes)
-        buf = encode_cifar_records(data, variant)
-        assert len(buf) == 5 * record
-        back = parse_cifar_records(buf, variant)
-        assert back.n_classes == n_classes
-        assert back.images.tobytes() == data.images.tobytes()
-        np.testing.assert_array_equal(back.labels, data.labels)
-
-    def test_buffer_one_byte_short_rejected(self, variant, n_classes, record):
-        buf = encode_cifar_records(grid_dataset(2, n_classes), variant)
-        with pytest.raises(FormatError, match=f"{record}-byte records"):
-            parse_cifar_records(buf[:-1], variant)
-
-    def test_label_byte_out_of_range_rejected(self, variant, n_classes, record):
-        raw = bytearray(encode_cifar_records(grid_dataset(2, n_classes), variant))
-        label_offset = record - 3073  # the fine label follows the coarse one
-        raw[record + label_offset] = n_classes  # in the second record
-        with pytest.raises(DataError, match=f"label byte {n_classes} "):
-            parse_cifar_records(bytes(raw), variant)
-
-
-@pytest.mark.parametrize("entry", [
-    lambda path: parse_cifar_records(bytes(3073), "svhn"),
-    lambda path: encode_cifar_records(grid_dataset(1, 10), "svhn"),
-    lambda path: _load_files(path, ["train.bin"], "svhn", 1),
-    lambda path: load_cifar(path, "svhn"),
-    lambda path: cifar_available(path, "svhn"),
-], ids=["parse", "encode", "load_files", "load_cifar", "available"])
-def test_unknown_variant_rejected(tmp_path, entry):
-    # every file of either layout exists, so nothing falls through to one
-    for name in CIFAR10_TRAIN_FILES + CIFAR10_TEST_FILES + ["train.bin", "test.bin"]:
-        (tmp_path / name).write_bytes(bytes(3074))
-    with pytest.raises(ContractError, match="unknown variant 'svhn'"):
-        entry(str(tmp_path))
+def encode_cifar_records(dataset):
+    """CIFAR-10 records of ``dataset``, whose pixels lie on the 1/255 grid:
+    each sample's label byte, then its pixel bytes."""
+    n = len(dataset)
+    pixels = np.round(dataset.images * 255.0).astype(np.uint8).reshape(n, CIFAR_PIXELS)
+    labels = dataset.labels.astype(np.uint8).reshape(n, 1)
+    return np.concatenate([labels, pixels], axis=1).tobytes()
 
 
 def test_unknown_synthetic_kind_rejected():
@@ -204,40 +172,51 @@ class TestCifarDirectory:
         (tmp_path / names[-1]).touch()
         assert cifar_available(str(tmp_path))
 
-    @pytest.mark.parametrize("variant,n_classes", [("cifar10", 10), ("cifar100-fine", 100)])
-    def test_load_files_round_trip(self, tmp_path, variant, n_classes):
-        data = grid_dataset(6, n_classes)
+    @pytest.mark.parametrize("extra", [-1, 1], ids=["short", "long"])
+    def test_file_one_byte_off_named(self, tmp_path, extra):
+        buf = encode_cifar_records(grid_dataset(2, 10))
+        path = tmp_path / "a.bin"
+        path.write_bytes(buf[:-1] if extra < 0 else buf + bytes(1))
+        size = 2 * CIFAR10_RECORD
+        want = f"{path}: expected {size} bytes (2 records), got {size + extra}"
+        with pytest.raises(FormatError, match=re.escape(want)):
+            _load_files(str(tmp_path), ["a.bin"], 2)
+
+    def test_label_byte_out_of_range_rejected(self, tmp_path):
+        raw = bytearray(encode_cifar_records(grid_dataset(2, 10)))
+        raw[CIFAR10_RECORD] = 10  # the label byte of the second record
+        (tmp_path / "a.bin").write_bytes(bytes(raw))
+        with pytest.raises(DataError, match="label byte 10 "):
+            _load_files(str(tmp_path), ["a.bin"], 2)
+
+    def test_load_files_round_trip(self, tmp_path):
+        data = grid_dataset(6, 10)
         names = ["a.bin", "b.bin"]
         for i, name in enumerate(names):
-            (tmp_path / name).write_bytes(encode_cifar_records(data.subset(range(3 * i, 3 * i + 3)),
-                                                               variant))
-        back = _load_files(str(tmp_path), names, variant, 3)
-        assert back.n_classes == n_classes
+            part = data.subset(range(3 * i, 3 * i + 3))
+            (tmp_path / name).write_bytes(encode_cifar_records(part))
+        back = _load_files(str(tmp_path), names, 3)
+        assert back.n_classes == 10
         assert back.images.tobytes() == data.images.tobytes()
         np.testing.assert_array_equal(back.labels, data.labels)
 
-    @pytest.mark.parametrize("variant,n_classes", [("cifar10", 10), ("cifar100-fine", 100)])
-    def test_load_cifar_matches_the_per_file_oracle(self, tmp_path, monkeypatch, variant,
-                                                    n_classes):
-        # the real layouts hold 60,000 images; the same file lists with a
-        # few records each take the same path through the reader
-        rec, _, label_off, (train, _), (test, _) = data_module._LAYOUTS[variant]
-        monkeypatch.setitem(data_module._LAYOUTS, variant,
-                            (rec, n_classes, label_off, (train, 7), (test, 5)))
+    def test_load_cifar_matches_the_per_file_oracle(self, tmp_path, monkeypatch):
+        # the real files hold 10,000 records each; the same file lists with
+        # a few records each take the same path through the reader
+        monkeypatch.setattr(data_module, "CIFAR10_FILE_RECORDS", 7)
         rng = SeededRng(11)
-        for name, count in [(n, 7) for n in train] + [(n, 5) for n in test]:
-            raw = rng.integers(0, 256, (count, rec)).astype(np.uint8)
-            raw[:, label_off] %= n_classes
+        for name in CIFAR10_TRAIN_FILES + CIFAR10_TEST_FILES:
+            raw = rng.integers(0, 256, (7, CIFAR10_RECORD)).astype(np.uint8)
+            raw[:, 0] %= 10
             (tmp_path / name).write_bytes(raw.tobytes())
-        for split, names in zip(load_cifar(str(tmp_path), variant), (train, test)):
-            raws = [np.frombuffer((tmp_path / n).read_bytes(), dtype=np.uint8).reshape(-1, rec)
-                    for n in names]
-            pixels = [r[:, rec - 3072:].reshape(-1, 3, 32, 32).astype(np.float32) / 255.0
-                      for r in raws]
+        splits = load_cifar(str(tmp_path))
+        for split, names in zip(splits, (CIFAR10_TRAIN_FILES, CIFAR10_TEST_FILES)):
+            raws = [np.frombuffer((tmp_path / n).read_bytes(), dtype=np.uint8)
+                    .reshape(-1, CIFAR10_RECORD) for n in names]
+            pixels = [r[:, 1:].reshape(-1, 3, 32, 32).astype(np.float32) / 255.0 for r in raws]
             assert split.images.tobytes() == np.concatenate(pixels).tobytes()
-            np.testing.assert_array_equal(split.labels,
-                                          np.concatenate([r[:, label_off] for r in raws]))
-            assert split.n_classes == n_classes
+            np.testing.assert_array_equal(split.labels, np.concatenate([r[:, 0] for r in raws]))
+            assert split.n_classes == 10
 
     def test_peak_memory_is_the_output_and_a_file(self, tmp_path):
         names = [f"part{i}.bin" for i in range(5)]
@@ -245,6 +224,6 @@ class TestCifarDirectory:
             raw = SeededRng(i).integers(0, 256, (2000, CIFAR10_RECORD)).astype(np.uint8)
             raw[:, 0] %= 10
             (tmp_path / name).write_bytes(raw.tobytes())
-        peak, data = traced_peak(lambda: _load_files(str(tmp_path), names, "cifar10", 2000))
+        peak, data = traced_peak(lambda: _load_files(str(tmp_path), names, 2000))
         assert len(data) == 10000
         assert peak <= data.images.nbytes + 2 * 2000 * CIFAR10_RECORD

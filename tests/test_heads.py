@@ -5,10 +5,11 @@ import pytest
 
 from stagenet import aggregate_scores, predict
 from stagenet.errors import ContractError, ShapeError
-from stagenet.gradcheck import check_layer
 from stagenet.heads import ClassifierHead
 from stagenet.rng import SeededRng
 from stagenet.scorenorm import softmax
+
+from gradcheck import check_layer
 
 
 def make_head(normalizer="l2", dtype=np.float64, n_classes=4, in_ch=3, target=6):

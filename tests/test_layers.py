@@ -7,10 +7,10 @@ import pytest
 
 from stagenet import layers as L
 from stagenet.errors import ContractError, ShapeError
-from stagenet.gradcheck import (_layer_zoo, check_all_layers, check_layer, numerical_gradient,
-                                relative_error)
 from stagenet.heads import ScoreNorm
 from stagenet.rng import SeededRng
+
+from gradcheck import _layer_zoo, check_all_layers, check_layer, numerical_gradient, relative_error
 
 
 def naive_conv(x, w, stride, pad):

@@ -23,3 +23,10 @@ class TestDeterminism:
         s2 = r.split(2).uniform(0, 1, (4,))
         assert not np.allclose(s1, s2)
         np.testing.assert_array_equal(s1, SeededRng(9).split(1).uniform(0, 1, (4,)))
+
+    def test_keys_beyond_63_bits_draw_their_own_streams(self):
+        # a negative key and one >= 2**63 each differ from the key next to
+        # it, as a seed and as a stream
+        for a, b in [(-1, -2), (2**63, 2**63 + 1)]:
+            assert self._run_sequence(a) != self._run_sequence(b)
+            assert SeededRng(0, a).random() != SeededRng(0, b).random()

