@@ -18,12 +18,22 @@ data movement in long contiguous runs, in cache:
   several times slower in numpy than over one long slice;
 - sample blocks.  The batch runs in blocks whose im2col matrices fit in
   ``BLOCK_BYTES`` (after Goto & van de Geijn, ACM TOMS 2008), where a
-  full-batch matrix reaches 29.5 MB; a block's im2col copies, GEMMs and
-  col2im adds then work in L2.
+  full-batch matrix reaches 29.5 MB; a block's phase copy, im2col copies,
+  GEMMs and col2im adds then work in L2.
 Each im2col copy and each col2im add is one slice per tap and block (see
 ``Conv2d``).  A gradient that is non-zero at one output position per
 (sample, channel), as behind a global max pool, takes
 ``Conv2d.backward_at`` instead: it reads only those windows.
+
+What a layer caches for backward is what it cannot get back cheaply, and
+an array it shares by reference where it can: ``Conv2d`` keeps its input
+and rebuilds the padded phase layout per block in backward (the trade of
+Chen et al., arXiv:1604.06174, at the scale of one block), ``ReLU`` keeps
+its output, which the next layer reads anyway, and ``MaxPool2x2`` keeps
+its input and output.  So each stage output is held once, however many
+layers read it: in ``multi`` mode the next stage and the stage's head.
+This rests on activations being read-only: no layer writes into its input
+or into an output it returned.
 
 ``MaxPool2x2`` copies no windows either: forward is three elementwise
 maxima over the input's four strided corner views, and backward routes by
@@ -252,38 +262,48 @@ class Conv2d(Layer):
     Output spatial extent is floor((H + 2*pad - k)/stride) + 1; pad 1 with
     stride 1 and k=3 keeps the feature size fixed.
 
-    Layout.  Forward caches the zero-padded input split into its s x s
-    stride phases: phase (a, b) holds padded rows a, a+s, ... and columns
-    b, b+s, ...; for s=1 it is the padded image.  Only the phases some tap
-    reads are built (one for k=1 at any stride), and only the rows and
-    columns some window reads.  With e = (k-1)//s, each (sample, channel)
-    plane of a phase is Hq x Wq = (Ho+e) x (Wo+e) (Wq = ceil(Wp/s)),
-    flattened to L = Hq*Wq.  Tap (ki, kj) reads phase (ki%s, kj%s) from
-    offset ``(ki//s)*Wq + kj//s`` of each plane on: output rows are
-    computed Wq wide, and the Wq - Wo extra columns are dropped from the
-    output and zero in the gradient.
+    Cache.  Forward caches its input by reference: activations are
+    read-only, and the layer before holds that array anyway (a ``ReLU``
+    caches its output, a residual unit's input is its skip), so the cache
+    costs nothing.  Each of forward, backward and ``backward_at`` rebuilds
+    the layout below one block at a time, in a scratch of one block that
+    lives for the call; no full-batch padded array exists.  Cached instead,
+    the padded layout would hold 24 MiB over mini_resnet multi's convs at
+    batch 100; rebuilt, it costs one block-sized copy per block, in cache.
+
+    Layout.  The zero-padded input is split into its s x s stride phases:
+    phase (a, b) holds padded rows a, a+s, ... and columns b, b+s, ...; for
+    s=1 it is the padded image.  Only the phases some tap reads are built
+    (one for k=1 at any stride), and only the rows and columns some window
+    reads.  With e = (k-1)//s, each (sample, channel) plane of a phase is
+    Hq x Wq = (Ho+e) x (Wo+e) (Wq = ceil(Wp/s)), flattened to L = Hq*Wq.
+    Tap (ki, kj) reads phase (ki%s, kj%s) from offset ``(ki//s)*Wq + kj//s``
+    of each plane on: output rows are computed Wq wide, and the Wq - Wo
+    extra columns are dropped from the output and zero in the gradient.
 
     Blocks.  The batch runs in blocks of the most samples whose im2col
-    matrices, (C*k*k, L) each, fit in ``BLOCK_BYTES``.  Within a block the
-    planes of a phase are stored channel-major, (C, block, L), and each
-    phase ends in e*(Wq+1) zeros of slack, so a tap's reads for the whole
-    block are one contiguous slice; a read that runs past a plane lands in
-    a column or row whose output is dropped.  Per block:
+    matrices, (C*k*k, L) each, fit in ``BLOCK_BYTES``.  The scratch holds a
+    block's phases, (phases, C*block*L + slack): the planes of a phase are
+    stored channel-major, (C, block, L), and each phase ends in e*(Wq+1)
+    zeros of slack, so a tap's reads for the whole block are one contiguous
+    slice; a read that runs past a plane lands in a column or row whose
+    output is dropped.  The copy into the scratch writes the same elements
+    for every block of one size, so the padding stays zero; the partial last
+    block gets a zeroed scratch of its own.  Per block:
     - forward copies each tap's slice into its rows of ``cols``
       (C, k*k, block*L) and computes W @ cols per sample, over the first
       Ho*Wq columns of each plane;
-    - backward rebuilds ``cols``, adds dW += cols @ g^T over the block's
-      samples, forms dcols = W^T @ g in tap-major rows, whose last e rows
-      of each plane stay zero, and adds each tap's rows into a phase-layout
-      dx as one slice; that dx is re-interleaved and cropped into dx.
+    - backward rebuilds the phases and ``cols``, adds dW += cols @ g^T over
+      the block's samples, forms dcols = W^T @ g in tap-major rows, whose
+      last e rows of each plane stay zero, and adds each tap's rows into a
+      phase-layout dx as one slice; that dx is re-interleaved and cropped
+      into dx.
     The GEMMs see each sample's matrix as a strided view, so no operand is
-    transposed in memory.  ``cols`` is recomputed, not cached: over
-    mini_resnet multi's convs at batch 100 it would hold 98 MiB, where the
-    cached phases hold 24 MiB.
+    transposed in memory.  ``cols`` would hold 98 MiB over the same convs.
 
     ``backward_at`` is the backward for a gradient that is zero except at
     one output position per (sample, output channel): it gathers just those
-    B*Co windows from the cached phases, with no im2col and no GEMM.
+    B*Co windows from each block's phases, with no im2col and no GEMM.
     """
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int = 3,
@@ -340,15 +360,14 @@ class Conv2d(Layer):
         return [((ki % s) * m + kj % s, (ki // s) * wq + kj // s)
                 for ki in range(k) for kj in range(k)]
 
-    def _phase_views(self, seg: np.ndarray, x: np.ndarray) -> list:
-        """(phase plane view, input view) pairs that hold the same elements,
-        for one block: ``seg`` (phases, C*block*L) and ``x`` (block, C, H, W)."""
+    def _phase_slices(self, h: int, w: int) -> list:
+        """One (plane index, input index) pair per phase: on a block's
+        planes, seen as (phases, C, block, Hq, Wq), and on the block, seen
+        as (C, block, H, W), they select the same elements, the input rows
+        and columns that some window reads."""
         k, s, p = self.kernel_size, self.stride, self.pad
         m = min(k, s)
-        nbb, c, h, w = x.shape
-        ho, wo, hq, wq = self._grid(h, w)
-        planes = seg.reshape(m * m, c, nbb, hq, wq)
-        xt = x.transpose(1, 0, 2, 3)
+        ho, wo = self.out_hw(h, w)
 
         def spans(n, n_read):
             # phase a holds input indices a + s*i - p; keep those in [0, n) that a window reads
@@ -360,17 +379,46 @@ class Conv2d(Layer):
                 out.append((slice(i0, i0 + cnt), slice(r0, r0 + s * cnt, s)))
             return out
 
-        return [(planes[a * m + b, :, :, qr, qc], xt[:, :, xr, xc])
+        every = slice(None)
+        return [((a * m + b, every, every, qr, qc), (every, every, xr, xc))
                 for a, (qr, xr) in enumerate(spans(h, s * (ho - 1) + k))
                 for b, (qc, xc) in enumerate(spans(w, s * (wo - 1) + k))]
 
+    def _planes(self, xq: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The block scratch ``xq`` (phases, C*block*L + slack) as its planes,
+        (phases, C, block, Hq, Wq), and the block ``x`` as (C, block, H, W)."""
+        nbb, c, h, w = x.shape
+        _, _, hq, wq = self._grid(h, w)
+        return xq[:, :c * nbb * hq * wq].reshape(-1, c, nbb, hq, wq), x.transpose(1, 0, 2, 3)
+
+    def _phase_blocks(self, x: np.ndarray):
+        """Yield (lo, hi, xq) for each block of ``x``: the scratch ``xq``
+        (phases, C*block*L + slack) holds the stride phases of samples
+        lo..hi-1 and zeros elsewhere.  Blocks of one size share the scratch,
+        since each writes the same elements; a block of another size gets a
+        zeroed one."""
+        _, c, h, w = x.shape
+        _, _, hq, wq = self._grid(h, w)
+        # the slack after the planes is the last tap's offset, e*(Wq+1)
+        slack = self._taps(wq)[-1][1]
+        slices = self._phase_slices(h, w)
+        xq = None
+        for lo, hi in self._blocks(x.shape, x.itemsize):
+            size = (hi - lo) * c * hq * wq
+            if xq is None or xq.shape[1] != size + slack:
+                xq = np.zeros((min(self.kernel_size, self.stride) ** 2, size + slack), dtype=x.dtype)
+            planes, xt = self._planes(xq, x[lo:hi])
+            for iq, ix in slices:
+                planes[iq] = xt[ix]
+            yield lo, hi, xq
+
     @staticmethod
-    def _fill_cols(cols: np.ndarray, xq: np.ndarray, start: int, taps: list):
-        """Copy each tap's slice of the phases ``xq``, from ``start`` on, into
-        its rows of ``cols`` (C, k*k, block*L)."""
+    def _fill_cols(cols: np.ndarray, xq: np.ndarray, taps: list):
+        """Copy each tap's slice of a block's phases ``xq`` into its rows of
+        ``cols`` (C, k*k, block*L)."""
         c, _, width = cols.shape
         for t, (ph, off) in enumerate(taps):
-            cols[:, t] = xq[ph, start + off:start + off + c * width].reshape(c, width)
+            cols[:, t] = xq[ph, off:off + c * width].reshape(c, width)
 
     @staticmethod
     def _per_sample(a: np.ndarray, nbb: int, plane: int, n: int) -> np.ndarray:
@@ -388,26 +436,22 @@ class Conv2d(Layer):
         taps = self._taps(wq)
         wmat = self.params["weight"].reshape(co, -1)
         bias = self.params.get("bias")
-        # the slack after the planes is the last tap's offset, e*(Wq+1)
-        xq = np.zeros((min(k, self.stride) ** 2, b * c * plane + taps[-1][1]), dtype=x.dtype)
         out = np.empty((b, co, ho, wo), dtype=np.result_type(wmat, x))
         cols = None
-        for lo, hi in self._blocks(x.shape, x.itemsize):
-            nbb, start, width = hi - lo, lo * c * plane, (hi - lo) * plane
-            for qv, xv in self._phase_views(xq[:, start:start + c * width], x[lo:hi]):
-                qv[...] = xv
+        for lo, hi, xq in self._phase_blocks(x):
+            nbb, width = hi - lo, (hi - lo) * plane
             if cols is None or cols.shape[2] != width:
                 cols = np.empty((c, k * k, width), dtype=x.dtype)
-            self._fill_cols(cols, xq, start, taps)
+            self._fill_cols(cols, xq, taps)
             y = np.matmul(wmat, self._per_sample(cols, nbb, plane, n))
             out[lo:hi] = y.reshape(nbb, co, ho, wq)[..., :wo]
             if bias is not None:
                 out[lo:hi] += bias[:, None, None]
-        return self._keep((xq, x.shape), out)
+        return self._keep(x, out)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        xq, x_shape = self._need_cache(grad_out)
-        b, c, h, w = x_shape
+        x = self._need_cache(grad_out)
+        c, h, w = x.shape[1:]
         k, co = self.kernel_size, self.out_channels
         ho, wo, hq, wq = self._grid(h, w)
         plane, n = hq * wq, ho * wq
@@ -415,19 +459,20 @@ class Conv2d(Layer):
         weight = self.params["weight"]
         # dcols comes out tap-major, (k, k, C) rows, so that each tap's rows are one slice
         wt_taps = weight.transpose(2, 3, 1, 0).reshape(-1, co)
-        dwt = np.zeros((weight[0].size, co), dtype=np.result_type(grad_out, xq))
-        dx = np.zeros(x_shape, dtype=xq.dtype)
+        dwt = np.zeros((weight[0].size, co), dtype=np.result_type(grad_out, x))
+        dx = np.zeros(x.shape, dtype=x.dtype)
+        slices = self._phase_slices(h, w)
         cols = None
-        for lo, hi in self._blocks(x_shape, xq.itemsize):
-            nbb, start, width = hi - lo, lo * c * plane, (hi - lo) * plane
+        for lo, hi, xq in self._phase_blocks(x):
+            nbb, width = hi - lo, (hi - lo) * plane
             if cols is None or cols.shape[2] != width:
                 # gq and dcols are written only where a plane has outputs and
                 # stay zero elsewhere, so a block of another size starts afresh
-                cols = np.empty((c, k * k, width), dtype=xq.dtype)
+                cols = np.empty((c, k * k, width), dtype=x.dtype)
                 gq = np.zeros((co, nbb, hq, wq), dtype=grad_out.dtype)
-                dcols = np.zeros((k * k, c * width), dtype=xq.dtype)
-                dxq = np.empty((xq.shape[0], c * width + taps[-1][1]), dtype=xq.dtype)
-            self._fill_cols(cols, xq, start, taps)
+                dcols = np.zeros((k * k, c * width), dtype=x.dtype)
+                dxq = np.empty(xq.shape, dtype=x.dtype)
+            self._fill_cols(cols, xq, taps)
             gq[:, :, :ho, :wo] = grad_out[lo:hi].transpose(1, 0, 2, 3)
             g = self._per_sample(gq, nbb, plane, n)
             dwt += np.matmul(self._per_sample(cols, nbb, plane, n), g.transpose(0, 2, 1)).sum(axis=0)
@@ -435,8 +480,9 @@ class Conv2d(Layer):
             dxq.fill(0)
             for t, (ph, off) in enumerate(taps):
                 dxq[ph, off:off + c * width] += dcols[t]
-            for qv, dxv in self._phase_views(dxq[:, :c * width], dx[lo:hi]):
-                dxv[...] = qv
+            planes, dxt = self._planes(dxq, dx[lo:hi])
+            for iq, ix in slices:
+                dxt[ix] = planes[iq]
         self.grads["weight"] += dwt.T.reshape(weight.shape)
         if "bias" in self.params:
             self.grads["bias"] += grad_out.sum(axis=(0, 2, 3))
@@ -447,41 +493,46 @@ class Conv2d(Layer):
         ``pos[b, co]`` (into Ho*Wo) and zero elsewhere; both are (B, Co).
 
         dW[co] = sum_b g[b, co] * window(b, pos[b, co]) of the padded input,
-        and dx adds g[b, co] * W[co] into the same windows.  A (B, Co, C*k*k)
-        table of flat indices into the cached phases addresses every window
-        element in the weight's (C, k, k) order; ``np.add.at`` sums where
-        windows overlap."""
-        xq, x_shape = self._need_cache()
+        and dx adds g[b, co] * W[co] into the same windows.  Per block, a
+        (block, Co, C*k*k) table of flat indices into the block's phases
+        addresses every window element in the weight's (C, k, k) order: it
+        gathers the windows, and ``np.add.at`` sums g * W into them where
+        windows overlap.  dW is one contraction over the whole batch's
+        windows, (B, Co, C*k*k)."""
+        x = self._need_cache()
         if pos.shape != self._out_shape[:2] or g.shape != pos.shape:
             raise ShapeError(f"{self.where}: pos and g must be {self._out_shape[:2]}, "
                              f"got {pos.shape} and {g.shape}")
-        b, c, h, w = x_shape
+        b, c, h, w = x.shape
         ho, wo, hq, wq = self._grid(h, w)
         plane = hq * wq
         weight = self.params["weight"]
-        # sample n of a block of nbb starting at sample lo has the plane of
-        # channel ci at (lo*C + ci*nbb + n - lo) * L in each phase
-        nb = self.block_size(x_shape, xq.itemsize)
-        n = np.arange(b)
-        lo = n // nb * nb
-        nbb = np.minimum(nb, b - lo)
-        chan = (lo * c + n - lo)[:, None] + np.arange(c) * nbb[:, None]
-        tap = [ph * xq.shape[1] + off for ph, off in self._taps(wq)]
-        window = (chan[:, :, None] * plane + tap).reshape(b, 1, -1)
+        taps = self._taps(wq)
+        wmat = weight.reshape(self.out_channels, -1)
         i, j = np.divmod(pos, wo)
-        flat = (i * wq + j)[:, :, None] + window
-        windows = xq.reshape(-1).take(flat)
+        at = (i * wq + j)[:, :, None]
+        windows = np.empty((b, *wmat.shape), dtype=x.dtype)
+        dx = np.zeros(x.shape, dtype=x.dtype)
+        slices = self._phase_slices(h, w)
+        dxq = None
+        for lo, hi, xq in self._phase_blocks(x):
+            nbb = hi - lo
+            if dxq is None or dxq.shape != xq.shape:
+                dxq = np.empty(xq.shape, dtype=x.dtype)
+                # sample n's plane of channel ci starts at (ci*block + n) * L
+                chan = np.arange(nbb)[:, None] + np.arange(c) * nbb
+                tap = [ph * xq.shape[1] + off for ph, off in taps]
+                window = (chan[:, :, None] * plane + tap).reshape(nbb, 1, -1)
+            flat = at[lo:hi] + window
+            np.take(xq.reshape(-1), flat, out=windows[lo:hi])
+            dxq.fill(0)
+            np.add.at(dxq.reshape(-1), flat.reshape(-1), (g[lo:hi, :, None] * wmat).reshape(-1))
+            planes, dxt = self._planes(dxq, dx[lo:hi])
+            for iq, ix in slices:
+                dxt[ix] = planes[iq]
         self.grads["weight"] += np.einsum("bo,bok->ok", g, windows).reshape(weight.shape)
-        del windows
         if "bias" in self.params:
             self.grads["bias"] += g.sum(axis=0)
-        dxq = np.zeros(xq.shape, dtype=xq.dtype)
-        np.add.at(dxq.reshape(-1), flat.reshape(-1),
-                  (g[:, :, None] * weight.reshape(self.out_channels, -1)).reshape(-1))
-        dx = np.zeros(x_shape, dtype=xq.dtype)
-        for lo, hi in self._blocks(x_shape, xq.itemsize):
-            for qv, dxv in self._phase_views(dxq[:, lo * c * plane:hi * c * plane], dx[lo:hi]):
-                dxv[...] = qv
         return dx
 
 
@@ -580,7 +631,10 @@ class BatchNorm2d(Layer):
     dbeta, dgamma) views its operands as (B, C, H*W) rows and sums the
     contiguous last axis first; a sum of products goes through ``einsum``,
     which forms no temporary.  Train-mode dx reuses dbeta and dgamma as the
-    two sums it needs.
+    two sums it needs.  Every elementwise step runs over (B, C*H*W) rows,
+    with each per-channel vector repeated H*W times along the row: a
+    (B, C, H*W) broadcast would run numpy's inner loop H*W elements long,
+    one element behind a head's global pool.
     """
 
     kind = "batchnorm2d"
@@ -600,43 +654,43 @@ class BatchNorm2d(Layer):
         b, c, h, w = _check_nchw(self, x)
         if c != self.channels:
             raise ShapeError(f"{self.where}: expected {self.channels} channels, got {c}")
-        gamma = self.params["gamma"].reshape(1, c, 1, 1)
-        beta = self.params["beta"].reshape(1, c, 1, 1)
-        m = b * h * w
+        hw, m = h * w, b * h * w
+        rows = x.reshape(b, c * hw)
         running_mean, running_var = self.buffers["running_mean"], self.buffers["running_var"]
         if self.training:
-            rows = x.reshape(b, c, h * w)
-            mean = rows.sum(axis=2).sum(axis=0) / m
-            xc = rows - mean[:, None]
+            mean = x.reshape(b, c, hw).sum(axis=2).sum(axis=0) / m
+            xhat = rows - np.repeat(mean, hw)
+            xc = xhat.reshape(b, c, hw)
             var = np.einsum("bcl,bcl->c", xc, xc) / m
             mo = self.MOMENTUM
             running_mean += mo * (mean.astype(running_mean.dtype) - running_mean)
             running_var += mo * (var.astype(running_var.dtype) - running_var)
             invstd = 1.0 / np.sqrt(var + self.EPS)
-            xc *= invstd[:, None]
-            xhat = xc.reshape(x.shape)
+            xhat *= np.repeat(invstd, hw)
             cache = (xhat, invstd, m)
         else:
             invstd = 1.0 / np.sqrt(running_var + self.EPS)
-            xhat = (x - running_mean.reshape(1, c, 1, 1)) * invstd.reshape(1, c, 1, 1)
+            xhat = (rows - np.repeat(running_mean, hw)) * np.repeat(invstd, hw)
             cache = None
-        return self._keep(cache, gamma * xhat + beta)
+        out = np.multiply(xhat, np.repeat(self.params["gamma"], hw))
+        out += np.repeat(self.params["beta"], hw)
+        return self._keep(cache, out.reshape(x.shape))
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         xhat, invstd, m = self._need_cache(grad_out)
         b, c = grad_out.shape[:2]
-        g = grad_out.reshape(b, c, -1)
-        xh = xhat.reshape(b, c, -1)
-        dbeta = g.sum(axis=2).sum(axis=0)
-        dgamma = np.einsum("bcl,bcl->c", g, xh)
+        hw = xhat.shape[1] // c
+        g = grad_out.reshape(b, c * hw)
+        dbeta = g.reshape(b, c, hw).sum(axis=2).sum(axis=0)
+        dgamma = np.einsum("bcl,bcl->c", g.reshape(b, c, hw), xhat.reshape(b, c, hw))
         self.grads["beta"] += dbeta
         self.grads["gamma"] += dgamma
         gamma = self.params["gamma"]
         # gamma*invstd * (g - mean(g) - xhat*mean(g*xhat)); the means are dbeta/m, dgamma/m
-        dx = xh * (dgamma / m)[:, None]
+        dx = xhat * np.repeat(dgamma / m, hw)
         np.subtract(g, dx, out=dx)
-        dx -= (dbeta / m)[:, None]
-        dx *= (gamma * invstd)[:, None]
+        dx -= np.repeat(dbeta / m, hw)
+        dx *= np.repeat(gamma * invstd, hw)
         return dx.reshape(grad_out.shape).astype(grad_out.dtype, copy=False)
 
 
@@ -676,14 +730,20 @@ class Linear(Layer):
 
 
 class ReLU(Layer):
+    """max(x, 0).  Forward caches its output by reference, which the next
+    layer holds anyway, and backward passes the gradient where it is
+    positive: ``out > 0`` equals ``x > 0`` for every float, NaN and -0.0
+    included."""
+
     kind = "relu"
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        return self._keep(x > 0, np.maximum(x, 0.0))
+        out = np.maximum(x, 0.0)
+        return self._keep(out, out)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        mask = self._need_cache(grad_out)
-        return grad_out * mask
+        out = self._need_cache(grad_out)
+        return grad_out * (out > 0)
 
 
 class Softplus(Layer):

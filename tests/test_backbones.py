@@ -358,6 +358,34 @@ class TestHook:
         for k, v in model.named_grads().items():
             assert np.array_equal(v, grads[k]), k
 
+    @pytest.mark.parametrize("preset,mode", [("mini_resnet", "multi"), ("mini_vgg", "original")])
+    def test_a_training_step_writes_into_no_activation(self, preset, mode):
+        # layers cache their inputs and outputs by reference, so activations
+        # are read-only: with the input and every forward output frozen, an
+        # in-place write raises, and the step is an unfrozen step bit for bit
+        x = SeededRng(50).uniform(0, 1, (13, 3, 16, 16), dtype=np.float32)
+        labels = SeededRng(51).integers(0, N, 13)
+
+        def freeze(name, layer, direction, out):
+            if direction == "fwd":
+                out.flags.writeable = False
+
+        def step(x, hook):
+            model = build_preset(preset, mode, n_classes=N, seed=6)
+            with model.hooked(hook):
+                out, _ = model.forward(x, training=True)
+                loss, grad = batch_cross_entropy(out, labels)
+                model.zero_grads()
+                dx = model.backward(grad)
+            return {"loss": np.float64(loss), "dx": dx, **model.named_grads(), **model.named_buffers()}
+
+        frozen_x = x.copy()
+        frozen_x.flags.writeable = False
+        plain, frozen = step(x, lambda *args: None), step(frozen_x, freeze)
+        assert plain.keys() == frozen.keys()
+        for k in plain:
+            assert plain[k].tobytes() == frozen[k].tobytes(), k
+
 
 def vgg16_conv_params():
     """Hand count of the thirteen biased VGG16 convs."""

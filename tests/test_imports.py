@@ -8,6 +8,7 @@ import ast
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -16,11 +17,15 @@ ALLOWED = set(sys.stdlib_module_names) | {"numpy", "stagenet"}
 # the files whose code counts as the system calling a name
 SYSTEM = sorted((ROOT / "src").rglob("*.py")) + [
     p for p in sorted((ROOT / "perfbench").glob("*.py")) if not p.name.startswith("test_")]
-# public names that nothing calls yet, each with the caller that will
+# public names that the system does not call, each with why it stays: the
+# caller that will, or the use outside the system that keeps it on purpose
 EXEMPT = {
     "data.load_cifar": "ROADMAP item 1's `--cifar` run",
     "data.cifar_available": "ROADMAP item 1's `--cifar` run",
+    "layers.Layer.astype": "the float64 casts of `tests/gradcheck.py`, which ROADMAP aim 2 keeps",
 }
+# a read of one of these may be an array's, so it proves no method of that name called
+ARRAY_ATTRIBUTES = set(dir(np.ndarray))
 
 
 def imported_roots(tree: ast.Module):
@@ -76,9 +81,11 @@ def public_definitions(tree):
 
 def uncalled(tree, used_elsewhere):
     """Qualified names of ``tree``'s public definitions that neither
-    ``used_elsewhere`` nor ``tree`` outside the definition itself reads."""
+    ``used_elsewhere`` nor ``tree`` outside the definition itself reads, and
+    of its public methods named like an ``np.ndarray`` attribute."""
     return [name for name, node in public_definitions(tree)
-            if node.name not in used_elsewhere | names_used(tree, skip=node)]
+            if node.name not in used_elsewhere | names_used(tree, skip=node)
+            or ("." in name and node.name in ARRAY_ATTRIBUTES)]
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
@@ -100,5 +107,7 @@ def test_an_uncalled_function_or_method_is_caught():
         "    def __len__(self): return 0\n"
         "    def open(self): return used()\n"
         "    def shut(self): pass\n"
-        "Box().open()\n")
-    assert uncalled(tree, set()) == ["unused", "Box.shut"]
+        "    def copy(self): pass\n"
+        "Box().open()\n"
+        "used().copy()\n")
+    assert uncalled(tree, set()) == ["unused", "Box.shut", "Box.copy"]

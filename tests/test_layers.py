@@ -283,6 +283,52 @@ class TestConvBlocks:
             tracemalloc.stop()
         assert peak < cache + y.nbytes + dx.nbytes + 4 * 2 ** 20
 
+    def test_a_training_forward_holds_no_copy_of_its_input(self):
+        # the cache is the input itself, and the stride phases live in a
+        # scratch of one block; a cache of the padded phases here is 3.7 MB
+        conv = L.Conv2d(8, 32, 3, stride=1, pad=1, rng=SeededRng(40))
+        x = SeededRng(41).uniform(-1, 1, (100, 8, 32, 32), dtype=np.float32)
+        tracemalloc.start()
+        try:
+            y = conv.forward(x)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held <= y.nbytes + 2 * L.BLOCK_BYTES
+
+    @pytest.mark.parametrize("k,stride,pad", [(k, s, p) for k in (1, 3) for s in (1, 2) for p in (0, 1)])
+    def test_a_call_on_non_finite_input_leaves_nothing_behind(self, k, stride, pad):
+        # forward, backward and backward_at on inf and NaN, in a partial
+        # last block and in one full block, then on a finite input: outputs,
+        # dx and grads are a fresh layer's, bit for bit
+        def fresh():
+            return L.Conv2d(4, 5, k, stride=stride, pad=pad, rng=SeededRng(42))
+
+        def run(conv, x):
+            y = conv.forward(x)
+            g = SeededRng(44).uniform(-1, 1, y.shape, dtype=np.float32)
+            dx = conv.backward(g)
+            grads = [v.copy() for v in conv.grads.values()]
+            conv.zero_grads()
+            conv.forward(x)
+            pos = SeededRng(45).integers(0, y.shape[2] * y.shape[3], y.shape[:2])
+            dx_at = conv.backward_at(pos, g[:, :, 0, 0])
+            return [y, dx, dx_at, *grads, *conv.grads.values()]
+
+        shape = (4, 9, 7)
+        batch = fresh().block_size((1, *shape), 4) + 1
+        x = SeededRng(43).uniform(-1, 1, (batch, *shape), dtype=np.float32)
+        poison = x.copy()
+        poison[:, :, ::2] = np.inf
+        poison[:, :, 1::2, ::3] = np.nan
+        conv = fresh()
+        with np.errstate(all="ignore"):
+            run(conv, poison)
+            run(conv, poison[:-1])
+        conv.zero_grads()
+        for got, want in zip(run(conv, x), run(fresh(), x)):
+            assert got.tobytes() == want.tobytes()
+
 
 class TestPooling:
     def test_adaptive_pool_takes_global_max(self):
@@ -467,6 +513,17 @@ class TestActivations:
     def test_relu(self):
         out = L.ReLU().forward(np.array([-1.0, 2.0]))
         np.testing.assert_array_equal(out, [0.0, 2.0])
+
+    def test_relu_backward_equals_the_input_mask_at_special_values(self):
+        # backward reads the cached output: out > 0 must be x > 0 for NaN,
+        # the signed zeros and the infinities, with every gradient
+        special = np.array([np.nan, 0.0, -0.0, np.inf, -np.inf, 1.5, -1.5, 1e-45], dtype=np.float32)
+        x, g = np.meshgrid(special, special)
+        relu = L.ReLU()
+        relu.forward(x)
+        with np.errstate(invalid="ignore"):
+            got, want = relu.backward(g), g * (x > 0)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 class TestComposedBlock:
