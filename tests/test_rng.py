@@ -1,8 +1,11 @@
 """Seeded random streams: bit-reproducible draws and independent splits."""
 
+import zlib
+
 import numpy as np
 
-from stagenet import SeededRng
+from stagenet import SeededRng, train
+from stagenet.data import make_synthetic
 
 
 class TestDeterminism:
@@ -30,3 +33,13 @@ class TestDeterminism:
         for a, b in [(-1, -2), (2**63, 2**63 + 1)]:
             assert self._run_sequence(a) != self._run_sequence(b)
             assert SeededRng(0, a).random() != SeededRng(0, b).random()
+
+
+def test_system_draws_are_pinned():
+    # CRC32 of the epoch-1 shuffle for seed 1 and of the synthetic labels;
+    # integer draws do not depend on the host.  The init weights are pinned
+    # in tests/test_backbones.py (test_initial_weight_bytes_are_pinned)
+    perm = SeededRng(1, train._SHUFFLE_TAG + 1).permutation(1000)
+    assert zlib.crc32(perm.tobytes()) == 0x113978B4
+    labels = make_synthetic("striped_patterns", 1000, 10, 32, 1).labels
+    assert zlib.crc32(labels.tobytes()) == 0xA2014055
