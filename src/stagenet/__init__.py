@@ -11,14 +11,15 @@ checkpoints, ``scorenorm`` the two score normalizers, their
 vector-Jacobian products and the cross-entropy loss, ``data`` the CIFAR-10
 reader, synthetic datasets and augmentation, and ``Model.count_stats``
 the parameter and FLOP accounting.  The root exports the model, its
-heads and the errors; the rest is reached through its module.
+heads, the errors and ``seeded_rng``, the keyed numpy Generator that
+every draw comes from; the rest is reached through its module.
 """
 
 from .backbones import BackboneSpec, Model, ModelStats, PRESETS, SetSpec, build, build_preset
 from .errors import (BuildError, ConfigError, ContractError, DataError,
                      FormatError, NumericsError, ShapeError, StagenetError)
 from .heads import ClassifierHead, aggregate_scores, predict
-from .rng import SeededRng
+from .rng import seeded_rng
 
 __version__ = "0.1.0"
 
@@ -28,6 +29,6 @@ __all__ = [
     "BuildError", "ConfigError", "ContractError", "DataError", "FormatError",
     "NumericsError", "ShapeError", "StagenetError",
     "ClassifierHead", "aggregate_scores", "predict",
-    "SeededRng",
+    "seeded_rng",
     "__version__",
 ]

@@ -44,7 +44,7 @@ import numpy as np
 from .errors import BuildError, ContractError, ShapeError
 from .heads import NORMALIZERS, ClassifierHead, aggregate_scores
 from .layers import AdaptiveMaxPool, BatchNorm2d, Conv2d, Layer, Linear, MaxPool2x2, ReLU
-from .rng import SeededRng
+from .rng import seeded_rng
 
 StageKind = Literal["plain", "plain_bn", "residual"]
 Reduction = Literal["pool", "stride", "none"]
@@ -81,7 +81,7 @@ class BackboneSpec:
 class _ResidualUnit(Layer):
     """conv-bn-relu-conv-bn with identity or projected skip, then relu."""
 
-    def __init__(self, in_channels: int, channels: int, stride: int, rng: SeededRng):
+    def __init__(self, in_channels: int, channels: int, stride: int, rng: np.random.Generator):
         super().__init__()
         self.add("conv1", Conv2d(in_channels, channels, 3, stride=stride, pad=1,
                                  bias=False, rng=rng))
@@ -118,7 +118,7 @@ class SetModule(Layer):
     plain stage's children are ``conv<i>`` (``bn<i>``) ``relu<i>``, a
     residual stage's ``unit<i>``; a pooled stage ends in ``pool``."""
 
-    def __init__(self, index: int, in_channels: int, spec: SetSpec, rng: SeededRng):
+    def __init__(self, index: int, in_channels: int, spec: SetSpec, rng: np.random.Generator):
         super().__init__()
         if spec.kind not in get_args(StageKind):
             raise BuildError(f"unknown stage kind {spec.kind!r}")
@@ -154,7 +154,7 @@ class OriginalClassifier(Layer):
     """
 
     def __init__(self, in_channels: int, n_classes: int, hidden: Sequence[int],
-                 rng: SeededRng):
+                 rng: np.random.Generator):
         super().__init__()
         self.add("pool", AdaptiveMaxPool())
         widths = [in_channels, *hidden, n_classes]
@@ -325,7 +325,7 @@ def build(spec: BackboneSpec, mode: str = "original", n_classes: int = 10,
         raise BuildError(f"in_channels must be >= 1, got {spec.in_channels}")
     if any(width < 1 for width in hidden):
         raise BuildError(f"hidden widths must be >= 1, got {tuple(hidden)}")
-    rng = SeededRng(seed, 1000)
+    rng = seeded_rng(seed, 1000)
     sets, ch = [], spec.in_channels
     for i, sspec in enumerate(spec.sets, start=1):
         sets.append(SetModule(i, ch, sspec, rng))

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractError, DataError, FormatError
-from .rng import SeededRng
+from .rng import seeded_rng
 
 CIFAR_PIXELS = 3072
 CIFAR10_RECORD = 1 + CIFAR_PIXELS
@@ -142,7 +142,7 @@ def normalize_batch(images: np.ndarray, policy: AugmentPolicy) -> np.ndarray:
             / policy.std[:, None, None]).astype(np.float32, copy=False)
 
 
-def sample_erase_box(h: int, w: int, rng: SeededRng):
+def sample_erase_box(h: int, w: int, rng: np.random.Generator):
     """Erasing-region sampler: draw area and aspect until the box fits.
 
     Returns (top, left, eh, ew) or None after 100 rejected draws.  The
@@ -168,16 +168,15 @@ def augment_batch(dataset: Dataset, indices: np.ndarray, policy: AugmentPolicy,
     """Pad-and-crop, flip, normalize and erase the selected samples; a new
     (len(indices),3,H,W) float32 array.  Each image draws from its own
     stream (seed, epoch*M + index), crop offsets, flip, erase and box in
-    that order, so rows do not depend on batch boundaries or worker layout."""
+    that order, so rows do not depend on batch boundaries."""
     m = len(dataset)
     _, c, h, w = dataset.images.shape
     p = CROP_PAD
     padded = np.zeros((len(indices), c, h + 2 * p, w + 2 * p), dtype=np.float32)
     out = np.empty((len(indices), c, h, w), dtype=np.float32)
-    base = SeededRng(seed)
     boxes = []
     for row, idx in enumerate(indices):
-        stream = base.split(epoch * m + int(idx))
+        stream = seeded_rng(seed, epoch * m + int(idx))
         padded[row, :, p:p + h, p:p + w] = dataset.images[int(idx)]
         top = int(stream.integers(0, 2 * p + 1))
         left = int(stream.integers(0, 2 * p + 1))
@@ -186,7 +185,7 @@ def augment_batch(dataset: Dataset, indices: np.ndarray, policy: AugmentPolicy,
         if stream.random() < ERASE_PROB:
             box = sample_erase_box(h, w, stream)
             if box is not None:
-                noise = stream.uniform(0.0, 1.0, (c,) + box[2:], dtype=np.float32)
+                noise = stream.uniform(0.0, 1.0, (c,) + box[2:]).astype(np.float32)
                 boxes.append((row, box, noise))
     out -= policy.mean[:, None, None]
     out /= policy.std[:, None, None]
@@ -206,7 +205,7 @@ def make_synthetic(kind: str, n_samples: int, n_classes: int, image_size: int,
         raise ContractError(f"unknown synthetic kind {kind!r}")
     if n_classes < 2:
         raise ContractError("need at least 2 classes")
-    rng = SeededRng(seed, 31)
+    rng = seeded_rng(seed, 31)
     labels = rng.integers(0, n_classes, (n_samples,)).astype(np.int64)
     return Dataset(_striped_patterns(labels, n_classes, image_size, rng), labels, n_classes)
 

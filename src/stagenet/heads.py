@@ -21,7 +21,6 @@ import numpy as np
 from . import scorenorm
 from .errors import ContractError, ShapeError
 from .layers import AdaptiveMaxPool, BatchNorm2d, Conv2d, Layer, Linear, Softplus
-from .rng import SeededRng
 
 # normalizer name -> (layer kind, forward, vector-Jacobian product)
 NORMALIZERS = {
@@ -60,7 +59,7 @@ class ClassifierHead(Layer):
     """
 
     def __init__(self, t: int, in_channels: int, target_channels: int,
-                 n_classes: int, normalizer: str, rng: SeededRng):
+                 n_classes: int, normalizer: str, rng: np.random.Generator):
         super().__init__()
         if n_classes < 2:
             raise ContractError("need at least 2 categories")

@@ -41,8 +41,8 @@ comparing the corners with the cached output, so no index array is kept.
 
 Every layer builds its params and buffers in float32.  ``Layer.astype``
 casts a built tree (float64 for the finite-difference checks).  Weight
-init is fan-in-scaled uniform (bound sqrt(6/fan_in)) for conv and linear;
-batchnorm starts at gamma=1, beta=0.
+init is fan-in-scaled uniform (bound sqrt(6/fan_in), ``_init_weight``) for
+conv and linear; batchnorm starts at gamma=1, beta=0.
 
 Composites (``backbones``, ``heads``) are built from these layers with
 ``Layer.add``, which names each child once, in execution order.
@@ -56,7 +56,7 @@ from functools import partial
 import numpy as np
 
 from .errors import ContractError, ShapeError
-from .rng import SeededRng
+from .rng import seeded_rng
 
 # bytes of the im2col matrices of one block of conv samples.  Over the
 # mini presets' conv shapes at batch 100, forward plus backward was fastest
@@ -78,6 +78,14 @@ def softplus(x: np.ndarray) -> np.ndarray:
     """ln(1 + exp(x)) computed without overflow; positive for all finite x
     that do not underflow exp (|x| beyond ~745 in float64)."""
     return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+
+
+def _init_weight(rng: np.random.Generator | None, fan_in: int, shape: tuple) -> np.ndarray:
+    """Float32 weights of ``shape`` drawn uniform in +-sqrt(6/fan_in), from
+    ``rng`` or else from ``seeded_rng(0)``."""
+    bound = np.sqrt(6.0 / fan_in)
+    rng = rng if rng is not None else seeded_rng(0)
+    return rng.uniform(-bound, bound, shape).astype(np.float32)
 
 
 def _check_nchw(layer, x: np.ndarray) -> tuple[int, int, int, int]:
@@ -308,7 +316,7 @@ class Conv2d(Layer):
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int = 3,
                  stride: int = 1, pad: int = 0, bias: bool = True,
-                 rng: SeededRng | None = None):
+                 rng: np.random.Generator | None = None):
         super().__init__()
         if kernel_size not in (1, 3):
             raise ContractError(f"kernel size must be 1 or 3, got {kernel_size}")
@@ -318,11 +326,8 @@ class Conv2d(Layer):
         self.kernel_size = kernel_size
         self.stride = stride
         self.pad = pad
-        fan_in = in_channels * kernel_size * kernel_size
-        bound = np.sqrt(6.0 / fan_in)
-        rng = rng if rng is not None else SeededRng(0)
-        w = rng.uniform(-bound, bound, (out_channels, in_channels, kernel_size, kernel_size))
-        self.params["weight"] = w.astype(np.float32)
+        self.params["weight"] = _init_weight(rng, in_channels * kernel_size ** 2,
+                                             (out_channels, in_channels, kernel_size, kernel_size))
         if bias:
             self.params["bias"] = np.zeros(out_channels, dtype=np.float32)
         self.zero_grads()
@@ -347,11 +352,6 @@ class Conv2d(Layer):
         _, c, h, w = x_shape
         _, _, hq, wq = self._grid(h, w)
         return max(1, BLOCK_BYTES // (c * self.kernel_size ** 2 * hq * wq * itemsize))
-
-    def _blocks(self, x_shape: tuple, itemsize: int) -> list[tuple[int, int]]:
-        """(first, last + 1) sample of each block."""
-        b, nb = x_shape[0], self.block_size(x_shape, itemsize)
-        return [(lo, min(lo + nb, b)) for lo in range(0, b, nb)]
 
     def _taps(self, wq: int) -> list[tuple[int, int]]:
         """(phase, offset into its planes) of each tap, in (ki, kj) order."""
@@ -384,41 +384,55 @@ class Conv2d(Layer):
                 for a, (qr, xr) in enumerate(spans(h, s * (ho - 1) + k))
                 for b, (qc, xc) in enumerate(spans(w, s * (wo - 1) + k))]
 
-    def _planes(self, xq: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The block scratch ``xq`` (phases, C*block*L + slack) as its planes,
-        (phases, C, block, Hq, Wq), and the block ``x`` as (C, block, H, W)."""
-        nbb, c, h, w = x.shape
-        _, _, hq, wq = self._grid(h, w)
-        return xq[:, :c * nbb * hq * wq].reshape(-1, c, nbb, hq, wq), x.transpose(1, 0, 2, 3)
-
-    def _phase_blocks(self, x: np.ndarray):
-        """Yield (lo, hi, xq) for each block of ``x``: the scratch ``xq``
-        (phases, C*block*L + slack) holds the stride phases of samples
-        lo..hi-1 and zeros elsewhere.  Blocks of one size share the scratch,
-        since each writes the same elements; a block of another size gets a
-        zeroed one."""
-        _, c, h, w = x.shape
+    def _phase_blocks(self, x: np.ndarray, dx: np.ndarray | None = None):
+        """Yield (lo, hi, xq, dxq) for each block of ``block_size`` samples
+        of ``x``: the scratch ``xq`` (phases, C*block*L + slack) holds the
+        stride phases of samples lo..hi-1 and zeros elsewhere.  Blocks of one
+        size share the scratch, since each writes the same elements; a block
+        of another size gets a zeroed one.  Given ``dx``, ``dxq`` is a zeroed
+        scratch in ``xq``'s layout: whatever the caller adds into it is
+        re-interleaved and cropped into ``dx[lo:hi]`` when it asks for the
+        next block.  Without ``dx``, ``dxq`` is None."""
+        b, c, h, w = x.shape
         _, _, hq, wq = self._grid(h, w)
         # the slack after the planes is the last tap's offset, e*(Wq+1)
         slack = self._taps(wq)[-1][1]
         slices = self._phase_slices(h, w)
-        xq = None
-        for lo, hi in self._blocks(x.shape, x.itemsize):
+        nb = self.block_size(x.shape, x.itemsize)
+        xq = dxq = None
+        for lo in range(0, b, nb):
+            hi = min(lo + nb, b)
             size = (hi - lo) * c * hq * wq
             if xq is None or xq.shape[1] != size + slack:
                 xq = np.zeros((min(self.kernel_size, self.stride) ** 2, size + slack), dtype=x.dtype)
-            planes, xt = self._planes(xq, x[lo:hi])
+                dxq = None if dx is None else np.empty_like(xq)
+            # the block's planes, (phases, C, block, Hq, Wq), and the block as (C, block, H, W)
+            planes = xq[:, :size].reshape(-1, c, hi - lo, hq, wq)
+            xt = x[lo:hi].transpose(1, 0, 2, 3)
             for iq, ix in slices:
                 planes[iq] = xt[ix]
-            yield lo, hi, xq
+            if dxq is not None:
+                dxq.fill(0)
+            yield lo, hi, xq, dxq
+            if dxq is not None:
+                dplanes, dxt = dxq[:, :size].reshape(planes.shape), dx[lo:hi].transpose(1, 0, 2, 3)
+                for iq, ix in slices:
+                    dxt[ix] = dplanes[iq]
 
-    @staticmethod
-    def _fill_cols(cols: np.ndarray, xq: np.ndarray, taps: list):
-        """Copy each tap's slice of a block's phases ``xq`` into its rows of
-        ``cols`` (C, k*k, block*L)."""
-        c, _, width = cols.shape
-        for t, (ph, off) in enumerate(taps):
-            cols[:, t] = xq[ph, off:off + c * width].reshape(c, width)
+    def _col_blocks(self, x: np.ndarray, dx: np.ndarray | None = None):
+        """``_phase_blocks`` with ``cols`` (C, k*k, block*L) in place of
+        ``xq``: each tap's slice of the block's phases, in its rows."""
+        c, h, w = x.shape[1:]
+        _, _, hq, wq = self._grid(h, w)
+        taps = self._taps(wq)
+        cols = None
+        for lo, hi, xq, dxq in self._phase_blocks(x, dx):
+            width = (hi - lo) * hq * wq
+            if cols is None or cols.shape[2] != width:
+                cols = np.empty((c, len(taps), width), dtype=x.dtype)
+            for t, (ph, off) in enumerate(taps):
+                cols[:, t] = xq[ph, off:off + c * width].reshape(c, width)
+            yield lo, hi, cols, dxq
 
     @staticmethod
     def _per_sample(a: np.ndarray, nbb: int, plane: int, n: int) -> np.ndarray:
@@ -429,20 +443,15 @@ class Conv2d(Layer):
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 4 or x.shape[1] != self.in_channels:
             raise ShapeError(f"{self.where}: expected (B,{self.in_channels},H,W), got {x.shape}")
-        b, c, h, w = x.shape
-        k, co = self.kernel_size, self.out_channels
+        b, _, h, w = x.shape
+        co = self.out_channels
         ho, wo, hq, wq = self._grid(h, w)
         plane, n = hq * wq, ho * wq
-        taps = self._taps(wq)
         wmat = self.params["weight"].reshape(co, -1)
         bias = self.params.get("bias")
         out = np.empty((b, co, ho, wo), dtype=np.result_type(wmat, x))
-        cols = None
-        for lo, hi, xq in self._phase_blocks(x):
-            nbb, width = hi - lo, (hi - lo) * plane
-            if cols is None or cols.shape[2] != width:
-                cols = np.empty((c, k * k, width), dtype=x.dtype)
-            self._fill_cols(cols, xq, taps)
+        for lo, hi, cols, _ in self._col_blocks(x):
+            nbb = hi - lo
             y = np.matmul(wmat, self._per_sample(cols, nbb, plane, n))
             out[lo:hi] = y.reshape(nbb, co, ho, wq)[..., :wo]
             if bias is not None:
@@ -461,28 +470,20 @@ class Conv2d(Layer):
         wt_taps = weight.transpose(2, 3, 1, 0).reshape(-1, co)
         dwt = np.zeros((weight[0].size, co), dtype=np.result_type(grad_out, x))
         dx = np.zeros(x.shape, dtype=x.dtype)
-        slices = self._phase_slices(h, w)
-        cols = None
-        for lo, hi, xq in self._phase_blocks(x):
-            nbb, width = hi - lo, (hi - lo) * plane
-            if cols is None or cols.shape[2] != width:
+        gq = None
+        for lo, hi, cols, dxq in self._col_blocks(x, dx):
+            nbb, width = hi - lo, cols.shape[2]
+            if gq is None or gq.shape[1] != nbb:
                 # gq and dcols are written only where a plane has outputs and
                 # stay zero elsewhere, so a block of another size starts afresh
-                cols = np.empty((c, k * k, width), dtype=x.dtype)
                 gq = np.zeros((co, nbb, hq, wq), dtype=grad_out.dtype)
                 dcols = np.zeros((k * k, c * width), dtype=x.dtype)
-                dxq = np.empty(xq.shape, dtype=x.dtype)
-            self._fill_cols(cols, xq, taps)
             gq[:, :, :ho, :wo] = grad_out[lo:hi].transpose(1, 0, 2, 3)
             g = self._per_sample(gq, nbb, plane, n)
             dwt += np.matmul(self._per_sample(cols, nbb, plane, n), g.transpose(0, 2, 1)).sum(axis=0)
             np.matmul(wt_taps, g, out=self._per_sample(dcols, nbb, plane, n))
-            dxq.fill(0)
             for t, (ph, off) in enumerate(taps):
                 dxq[ph, off:off + c * width] += dcols[t]
-            planes, dxt = self._planes(dxq, dx[lo:hi])
-            for iq, ix in slices:
-                dxt[ix] = planes[iq]
         self.grads["weight"] += dwt.T.reshape(weight.shape)
         if "bias" in self.params:
             self.grads["bias"] += grad_out.sum(axis=(0, 2, 3))
@@ -513,23 +514,17 @@ class Conv2d(Layer):
         at = (i * wq + j)[:, :, None]
         windows = np.empty((b, *wmat.shape), dtype=x.dtype)
         dx = np.zeros(x.shape, dtype=x.dtype)
-        slices = self._phase_slices(h, w)
-        dxq = None
-        for lo, hi, xq in self._phase_blocks(x):
+        window = None
+        for lo, hi, xq, dxq in self._phase_blocks(x, dx):
             nbb = hi - lo
-            if dxq is None or dxq.shape != xq.shape:
-                dxq = np.empty(xq.shape, dtype=x.dtype)
+            if window is None or len(window) != nbb:
                 # sample n's plane of channel ci starts at (ci*block + n) * L
                 chan = np.arange(nbb)[:, None] + np.arange(c) * nbb
                 tap = [ph * xq.shape[1] + off for ph, off in taps]
                 window = (chan[:, :, None] * plane + tap).reshape(nbb, 1, -1)
             flat = at[lo:hi] + window
             np.take(xq.reshape(-1), flat, out=windows[lo:hi])
-            dxq.fill(0)
             np.add.at(dxq.reshape(-1), flat.reshape(-1), (g[lo:hi, :, None] * wmat).reshape(-1))
-            planes, dxt = self._planes(dxq, dx[lo:hi])
-            for iq, ix in slices:
-                dxt[ix] = planes[iq]
         self.grads["weight"] += np.einsum("bo,bok->ok", g, windows).reshape(weight.shape)
         if "bias" in self.params:
             self.grads["bias"] += g.sum(axis=0)
@@ -702,14 +697,11 @@ class Linear(Layer):
     kind = "linear"
 
     def __init__(self, in_features: int, out_features: int,
-                 rng: SeededRng | None = None):
+                 rng: np.random.Generator | None = None):
         super().__init__()
         self.in_features = in_features
         self.out_features = out_features
-        bound = np.sqrt(6.0 / in_features)
-        rng = rng if rng is not None else SeededRng(0)
-        w = rng.uniform(-bound, bound, (in_features, out_features))
-        self.params["weight"] = w.astype(np.float32)
+        self.params["weight"] = _init_weight(rng, in_features, (in_features, out_features))
         self.params["bias"] = np.zeros(out_features, dtype=np.float32)
         self.zero_grads()
 

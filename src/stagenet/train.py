@@ -23,7 +23,7 @@ from .data import AugmentPolicy, Dataset, augment_batch, normalize_batch
 from .errors import ConfigError, ContractError, FormatError, NumericsError, ShapeError
 from .heads import predict
 from .layers import BatchNorm2d
-from .rng import SeededRng
+from .rng import seeded_rng
 
 _SHUFFLE_TAG = 1 << 48
 
@@ -220,7 +220,7 @@ def train_epoch(model: Model, optimizer: Adam, train_set: Dataset,
     ``batch_size >= 2``) raises ``ContractError``."""
     m = len(train_set)
     slices = _batch_slices(m, cfg.batch_size)
-    perm = SeededRng(cfg.seed, _SHUFFLE_TAG + epoch).permutation(m)
+    perm = seeded_rng(cfg.seed, _SHUFFLE_TAG + epoch).permutation(m)
     total_loss = 0.0
     total_correct = 0
     total_seen = 0

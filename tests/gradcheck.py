@@ -17,7 +17,7 @@ import numpy as np
 
 from stagenet import layers as L
 from stagenet.errors import ContractError
-from stagenet.rng import SeededRng
+from stagenet.rng import seeded_rng
 
 DEFAULT_EPS = 1e-5
 DEFAULT_TOL = 1e-4
@@ -66,7 +66,7 @@ def _check(node: L.Layer, run: Callable[[np.ndarray], np.ndarray], x: np.ndarray
            prefix: str) -> list[CheckResult]:
     """Check ``node``'s input gradient and its ``named_params()`` on
     sum(weights * run(x)), ``run`` giving its output.
-    Missing weights are uniform draws from ``SeededRng(*weight_stream)``.
+    Missing weights are uniform draws from ``seeded_rng(*weight_stream)``.
     Params are perturbed in place, so they must be 64-bit."""
     if any(p.dtype != np.float64 for p in node.named_params().values()):
         raise ContractError("gradient checks perturb params in place; cast the node to float64")
@@ -74,7 +74,7 @@ def _check(node: L.Layer, run: Callable[[np.ndarray], np.ndarray], x: np.ndarray
     saved_buffers = {k: v.copy() for k, v in node.named_buffers().items()}
     try:
         if weights is None:
-            weights = SeededRng(*weight_stream).uniform(-1.0, 1.0, run(x.copy()).shape)
+            weights = seeded_rng(*weight_stream).uniform(-1.0, 1.0, run(x.copy()).shape)
 
         def objective(xv: np.ndarray) -> float:
             return float(np.sum(weights * run(xv)))
@@ -111,7 +111,7 @@ def check_layer(layer: L.Layer, x: np.ndarray, eps: float = DEFAULT_EPS,
                   f"{layer.kind}.")
 
 
-def _layer_zoo(rng: SeededRng) -> list[tuple[L.Layer, tuple]]:
+def _layer_zoo(rng: np.random.Generator) -> list[tuple[L.Layer, tuple]]:
     """Small 64-bit instances of every layer kind, paired with input shapes."""
     zoo = [
         (L.Conv2d(2, 3, 3, stride=1, pad=1, bias=True, rng=rng), (2, 2, 5, 5)),
@@ -129,8 +129,8 @@ def _layer_zoo(rng: SeededRng) -> list[tuple[L.Layer, tuple]]:
 
 def check_all_layers(seed: int = 0, tol: float = DEFAULT_TOL) -> list[CheckResult]:
     """Gradient-check one instance of every layer kind on random data."""
-    rng = SeededRng(seed, 1)
-    data_rng = SeededRng(seed, 2)
+    rng = seeded_rng(seed, 1)
+    data_rng = seeded_rng(seed, 2)
     results = []
     for layer, shape in _layer_zoo(rng):
         x = data_rng.uniform(-2.0, 2.0, shape)

@@ -12,7 +12,7 @@ from stagenet.backbones import PRESETS, BackboneSpec, OriginalClassifier, SetSpe
 from stagenet.errors import BuildError, ContractError, ShapeError
 from stagenet.heads import ClassifierHead
 from stagenet.layers import Conv2d, Layer
-from stagenet.rng import SeededRng
+from stagenet.rng import seeded_rng
 from stagenet.scorenorm import batch_cross_entropy
 
 from gradcheck import check_layer, check_model
@@ -174,7 +174,7 @@ class TestNames:
 
     def test_second_backward_names_the_node_that_refused(self, mode):
         model = build_preset("mini_resnet", mode, n_classes=4)
-        x = SeededRng(4).uniform(0, 1, (2, 3, 16, 16), dtype=np.float32)
+        x = seeded_rng(4).uniform(0, 1, (2, 3, 16, 16)).astype(np.float32)
         _, grad = one_training_step(model, x, np.array([1, 2]))
         first = {"multi": "head1.norm", "original": "classifier.fc0"}[mode]
         with pytest.raises(ContractError, match=f"^{first}: backward called without a new forward"):
@@ -187,7 +187,7 @@ class TestNames:
 
 
 def test_a_node_outside_a_model_names_its_kind():
-    head = ClassifierHead(1, 4, 8, N, "l2", SeededRng(0))
+    head = ClassifierHead(1, 4, 8, N, "l2", seeded_rng(0))
     assert head.conv.name is None
     for bad in ((2, 3, 5, 5), (2, 4, 5)):
         with pytest.raises(ShapeError, match=r"^conv3x3: expected \(B,4,H,W\)"):
@@ -208,7 +208,7 @@ class TestForward:
 
     def test_eval_forward_is_bitwise_deterministic(self):
         model = build_preset("mini_resnet", "multi", n_classes=4, seed=5)
-        x = SeededRng(1).uniform(0, 1, (2, 3, 16, 16), dtype=np.float32)
+        x = seeded_rng(1).uniform(0, 1, (2, 3, 16, 16)).astype(np.float32)
         a, _ = model.forward(x, training=False)
         b, _ = model.forward(x, training=False)
         assert a.tobytes() == b.tobytes()
@@ -218,7 +218,7 @@ class TestForward:
     def test_eval_forward_keeps_no_cache(self, preset, mode):
         model = (build(mixed_spec(), mode, n_classes=4) if preset == "mixed"
                  else build_preset(preset, mode, n_classes=4))
-        x = SeededRng(1).uniform(0, 1, (2, 3, 16, 16), dtype=np.float32)
+        x = seeded_rng(1).uniform(0, 1, (2, 3, 16, 16)).astype(np.float32)
         out, _ = model.forward(x, training=True)
         assert any(layer._cache is not None for _, layer in model.modules())
         out, _ = model.forward(x, training=False)
@@ -227,7 +227,7 @@ class TestForward:
             model.backward(np.ones_like(out))
 
     def test_training_step_is_bitwise_deterministic(self):
-        x = SeededRng(1).uniform(0, 1, (3, 3, 16, 16), dtype=np.float32)
+        x = seeded_rng(1).uniform(0, 1, (3, 3, 16, 16)).astype(np.float32)
         labels = np.array([0, 3, 1])
         runs = []
         for _ in range(2):
@@ -241,7 +241,7 @@ class TestForward:
 
     def test_aggregate_equals_manual_head_sum(self):
         model = build_preset("mini_vgg", "multi", n_classes=5).astype(np.float64)
-        x = SeededRng(2).uniform(0, 1, (3, 3, 16, 16))
+        x = seeded_rng(2).uniform(0, 1, (3, 3, 16, 16))
         agg, per_head = model.forward(x)
         manual = np.zeros_like(agg)
         for c in per_head:
@@ -250,7 +250,7 @@ class TestForward:
 
     def test_aggregate_entries_bounded_by_head_count(self):
         model = build_preset("mini_resnet", "multi", n_classes=6)
-        x = SeededRng(3).uniform(0, 1, (4, 3, 16, 16), dtype=np.float32)
+        x = seeded_rng(3).uniform(0, 1, (4, 3, 16, 16)).astype(np.float32)
         agg, _ = model.forward(x)
         assert np.all(agg > 0) and np.all(agg < model.n_sets)
 
@@ -284,7 +284,7 @@ class TestForward:
 class TestHook:
     def test_reports_each_call_in_execution_order(self):
         model = build_preset("mini_cnn", "original", n_classes=N)
-        x = SeededRng(4).uniform(0, 1, (2, 3, 8, 8), dtype=np.float32)
+        x = seeded_rng(4).uniform(0, 1, (2, 3, 8, 8)).astype(np.float32)
         calls = []
         with model.hooked(lambda name, layer, d, out: calls.append((d, name, out))):
             out, _ = one_training_step(model, x, np.array([1, 2]))
@@ -299,7 +299,7 @@ class TestHook:
     def test_a_subtree_reports_the_names_its_errors_carry(self):
         model = build_preset("mini_cnn", "multi", n_classes=N)
         head = model.heads[0]
-        x = SeededRng(5).uniform(0, 1, (2, head.conv.in_channels, 8, 8), dtype=np.float32)
+        x = seeded_rng(5).uniform(0, 1, (2, head.conv.in_channels, 8, 8)).astype(np.float32)
         names = []
         with head.hooked(lambda name, layer, d, out: names.append(name)):
             head(x)
@@ -307,7 +307,7 @@ class TestHook:
                          "head1.norm", "head1"]
         with pytest.raises(ShapeError, match="head1.conv:"):
             head(np.zeros((2, 3, 8, 8), dtype=np.float32))
-        standalone = ClassifierHead(1, head.conv.in_channels, 4, N, "l2", SeededRng(6))
+        standalone = ClassifierHead(1, head.conv.in_channels, 4, N, "l2", seeded_rng(6))
         names.clear()
         with standalone.hooked(lambda name, layer, d, out: names.append(name)):
             standalone(x)
@@ -317,7 +317,7 @@ class TestHook:
     def test_every_node_reports_once_each_way(self, preset):
         model = (build(mixed_spec(), "multi", n_classes=4) if preset == "mixed"
                  else build_preset(preset, "multi", n_classes=4))
-        x = SeededRng(4).uniform(0, 1, (2, 3, 16, 16), dtype=np.float32)
+        x = seeded_rng(4).uniform(0, 1, (2, 3, 16, 16)).astype(np.float32)
         calls = []
         with model.hooked(lambda name, layer, d, out: calls.append((d, name, layer))):
             one_training_step(model, x, np.array([1, 2]))
@@ -350,7 +350,7 @@ class TestHook:
     @pytest.mark.parametrize("mode", ["original", "multi"])
     def test_second_backward_without_forward_rejected(self, mode):
         model = build_preset("mini_resnet", mode, n_classes=4)
-        x = SeededRng(4).uniform(0, 1, (2, 3, 16, 16), dtype=np.float32)
+        x = seeded_rng(4).uniform(0, 1, (2, 3, 16, 16)).astype(np.float32)
         _, grad = one_training_step(model, x, np.array([1, 2]))
         grads = {k: v.copy() for k, v in model.named_grads().items()}
         with pytest.raises(ContractError):
@@ -363,8 +363,8 @@ class TestHook:
         # layers cache their inputs and outputs by reference, so activations
         # are read-only: with the input and every forward output frozen, an
         # in-place write raises, and the step is an unfrozen step bit for bit
-        x = SeededRng(50).uniform(0, 1, (13, 3, 16, 16), dtype=np.float32)
-        labels = SeededRng(51).integers(0, N, 13)
+        x = seeded_rng(50).uniform(0, 1, (13, 3, 16, 16)).astype(np.float32)
+        labels = seeded_rng(51).integers(0, N, 13)
 
         def freeze(name, layer, direction, out):
             if direction == "fwd":
@@ -527,7 +527,7 @@ class TestCostRule:
 
     def test_count_stats_leaves_no_state_behind(self):
         model = build_preset("mini_resnet", "multi", n_classes=N)
-        x = SeededRng(5).uniform(0, 1, (2, 3, 16, 16), dtype=np.float32)
+        x = seeded_rng(5).uniform(0, 1, (2, 3, 16, 16)).astype(np.float32)
         out, _ = model.forward(x, training=True)
         buffers = {k: v.copy() for k, v in model.named_buffers().items()}
         model.count_stats((2, 3, 16, 16))
@@ -554,7 +554,7 @@ class TestCheckModel:
         model = build(spec, "multi", n_classes=2).astype(np.float64)
         assert sum(p.size for p in model.named_params().values()) == 68
         before = {k: v.copy() for k, v in model.named_buffers().items()}
-        results = check_model(model, SeededRng(6).uniform(-1, 1, (3, 1, 6, 6)))
+        results = check_model(model, seeded_rng(6).uniform(-1, 1, (3, 1, 6, 6)))
         assert results and all(r.passed for r in results), [r.line() for r in results]
         assert [r.name for r in results].count("input") == 1
         after = model.named_buffers()
@@ -565,8 +565,8 @@ class TestCheckModel:
 
 class TestOriginalClassifier:
     def test_gradients_match_finite_differences(self):
-        clf = OriginalClassifier(5, 3, hidden=(7,), rng=SeededRng(8)).astype(np.float64)
-        x = SeededRng(9).uniform(-2, 2, (3, 5, 3, 4))
+        clf = OriginalClassifier(5, 3, hidden=(7,), rng=seeded_rng(8)).astype(np.float64)
+        x = seeded_rng(9).uniform(-2, 2, (3, 5, 3, 4))
         results = check_layer(clf, x)
         assert [r.name for r in results] == [
             "composite.input", "composite.fc0.weight", "composite.fc0.bias",
@@ -595,7 +595,7 @@ class TestPrecision:
     def test_float64_and_back_restores_every_byte(self):
         model = build_preset("mini_resnet", "multi", n_classes=N)
         # one step moves the running stats off 0 and 1
-        one_training_step(model, SeededRng(2).uniform(0, 1, (2, 3, 16, 16), dtype=np.float32),
+        one_training_step(model, seeded_rng(2).uniform(0, 1, (2, 3, 16, 16)).astype(np.float32),
                           np.array([1, 3]))
 
         def state():

@@ -16,14 +16,14 @@ from stagenet.data import (_CHUNK, CIFAR10_RECORD, CIFAR10_TEST_FILES, CIFAR10_T
                            AugmentPolicy, Dataset, _load_files, augment_batch, cifar_available,
                            load_cifar, make_synthetic, normalize_batch, sample_erase_box)
 from stagenet.errors import ContractError, DataError, FormatError
-from stagenet.rng import SeededRng
+from stagenet.rng import seeded_rng
 
 
 class TestAugmentBatch:
     def test_rows_do_not_depend_on_batch_slicing(self):
         data = make_synthetic("striped_patterns", 12, 3, 8, seed=1)
         policy = AugmentPolicy(mean=[0.5, 0.4, 0.3], std=[0.2, 0.3, 0.4])
-        idx = SeededRng(2).permutation(len(data))
+        idx = seeded_rng(2).permutation(len(data))
         whole = augment_batch(data, idx, policy, seed=3, epoch=2)
         halves = np.concatenate([augment_batch(data, idx[:5], policy, 3, 2),
                                  augment_batch(data, idx[5:], policy, 3, 2)])
@@ -49,10 +49,10 @@ class TestAugmentBatch:
         data = make_synthetic("striped_patterns", 70, 4, 16, seed=seed)
         policy = AugmentPolicy(mean=[0.5, 0.4, 0.3], std=[0.2, 0.3, 0.4])
         for epoch in (0, 1, 5):
-            idx = SeededRng(seed, epoch).permutation(len(data))[:40]
-            base = SeededRng(seed)
+            idx = seeded_rng(seed, epoch).permutation(len(data))[:40]
             want = np.stack([augment_one(data.images[i], policy,
-                                         base.split(epoch * len(data) + int(i))) for i in idx])
+                                         seeded_rng(seed, epoch * len(data) + int(i)))
+                             for i in idx])
             assert augment_batch(data, idx, policy, seed, epoch).tobytes() == want.tobytes()
 
     def test_policy_rejects_a_non_positive_std(self):
@@ -76,14 +76,14 @@ def augment_one(px, policy, rng):
         box = sample_erase_box(h, w, rng)
         if box is not None:
             top, left, eh, ew = box
-            noise = rng.uniform(0.0, 1.0, (c, eh, ew), dtype=np.float32)
+            noise = rng.uniform(0.0, 1.0, (c, eh, ew)).astype(np.float32)
             px[:, top:top + eh, left:left + ew] = normalize_batch(noise, policy)
     return px
 
 
 def grid_dataset(n, n_classes):
     """Images whose pixels lie on the 1/255 grid, as decoded CIFAR pixels do."""
-    rng = SeededRng(4)
+    rng = seeded_rng(4)
     levels = rng.integers(0, 256, (n, 3, 32, 32)).astype(np.float32)
     labels = rng.integers(0, n_classes, (n,)).astype(np.int64)
     return Dataset(levels / 255.0, labels, n_classes)
@@ -105,7 +105,7 @@ def test_unknown_synthetic_kind_rejected():
 
 def one_shot_striped_patterns(n, n_classes, size, seed):
     """All gratings in one float64 array, one noise draw, then clip and cast."""
-    rng = SeededRng(seed, 31)
+    rng = seeded_rng(seed, 31)
     labels = rng.integers(0, n_classes, (n,)).astype(np.int64)
     yy, xx = np.meshgrid(np.arange(size), np.arange(size), indexing="ij")
     angles = np.pi * np.arange(n_classes) / n_classes
@@ -204,7 +204,7 @@ class TestCifarDirectory:
         # the real files hold 10,000 records each; the same file lists with
         # a few records each take the same path through the reader
         monkeypatch.setattr(data_module, "CIFAR10_FILE_RECORDS", 7)
-        rng = SeededRng(11)
+        rng = seeded_rng(11)
         for name in CIFAR10_TRAIN_FILES + CIFAR10_TEST_FILES:
             raw = rng.integers(0, 256, (7, CIFAR10_RECORD)).astype(np.uint8)
             raw[:, 0] %= 10
@@ -221,7 +221,7 @@ class TestCifarDirectory:
     def test_peak_memory_is_the_output_and_a_file(self, tmp_path):
         names = [f"part{i}.bin" for i in range(5)]
         for i, name in enumerate(names):
-            raw = SeededRng(i).integers(0, 256, (2000, CIFAR10_RECORD)).astype(np.uint8)
+            raw = seeded_rng(i).integers(0, 256, (2000, CIFAR10_RECORD)).astype(np.uint8)
             raw[:, 0] %= 10
             (tmp_path / name).write_bytes(raw.tobytes())
         peak, data = traced_peak(lambda: _load_files(str(tmp_path), names, 2000))

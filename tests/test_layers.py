@@ -8,7 +8,7 @@ import pytest
 from stagenet import layers as L
 from stagenet.errors import ContractError, ShapeError
 from stagenet.heads import ScoreNorm
-from stagenet.rng import SeededRng
+from stagenet.rng import seeded_rng
 
 from gradcheck import _layer_zoo, check_all_layers, check_layer, numerical_gradient, relative_error
 
@@ -36,7 +36,7 @@ def naive_conv(x, w, stride, pad):
 
 class TestConvForward:
     def test_identity_kernel_reproduces_input(self):
-        rng = SeededRng(1)
+        rng = seeded_rng(1)
         x = rng.uniform(-1, 1, (2, 3, 5, 5))
         conv = L.Conv2d(3, 3, 3, stride=1, pad=1, bias=False).astype(np.float64)
         w = np.zeros((3, 3, 3, 3))
@@ -54,18 +54,18 @@ class TestConvForward:
 
     @pytest.mark.parametrize("stride,pad", [(1, 0), (1, 1), (2, 1)])
     def test_matches_naive_oracle(self, stride, pad):
-        rng = SeededRng(2)
+        rng = seeded_rng(2)
         x = rng.uniform(-2, 2, (2, 3, 5, 5))
         conv = L.Conv2d(3, 4, 3, stride=stride, pad=pad, bias=False,
-                        rng=SeededRng(3)).astype(np.float64)
+                        rng=seeded_rng(3)).astype(np.float64)
         expected = naive_conv(x, conv.params["weight"], stride, pad)
         np.testing.assert_allclose(conv.forward(x), expected, atol=1e-10)
 
     def test_1x1_matches_naive_oracle(self):
-        rng = SeededRng(4)
+        rng = seeded_rng(4)
         x = rng.uniform(-2, 2, (2, 3, 4, 4))
         conv = L.Conv2d(3, 2, 1, stride=2, pad=0, bias=False,
-                        rng=SeededRng(5)).astype(np.float64)
+                        rng=seeded_rng(5)).astype(np.float64)
         expected = naive_conv(x, conv.params["weight"], 2, 0)
         np.testing.assert_allclose(conv.forward(x), expected, atol=1e-12)
 
@@ -83,8 +83,8 @@ class TestConvForward:
 
 class TestConvBackward:
     def test_zero_grad_out_gives_zero_grads(self):
-        conv = L.Conv2d(2, 3, 3, pad=1, rng=SeededRng(6)).astype(np.float64)
-        x = SeededRng(7).uniform(-1, 1, (2, 2, 4, 4))
+        conv = L.Conv2d(2, 3, 3, pad=1, rng=seeded_rng(6)).astype(np.float64)
+        x = seeded_rng(7).uniform(-1, 1, (2, 2, 4, 4))
         conv.forward(x)
         dx = conv.backward(np.zeros((2, 3, 4, 4)))
         assert not dx.any()
@@ -95,8 +95,8 @@ class TestConvBackward:
         w = np.zeros((1, 1, 3, 3))
         w[0, 0, 1, 1] = 1.0
         conv.params["weight"] = w
-        conv.forward(SeededRng(8).uniform(-1, 1, (1, 1, 4, 4)))
-        g = SeededRng(9).uniform(-1, 1, (1, 1, 4, 4))
+        conv.forward(seeded_rng(8).uniform(-1, 1, (1, 1, 4, 4)))
+        g = seeded_rng(9).uniform(-1, 1, (1, 1, 4, 4))
         np.testing.assert_allclose(conv.backward(g), g, atol=1e-15)
 
     def test_backward_before_forward_rejected(self):
@@ -106,8 +106,8 @@ class TestConvBackward:
 
     def test_gradients_match_finite_differences(self):
         conv = L.Conv2d(2, 3, 3, stride=1, pad=1, bias=True,
-                        rng=SeededRng(10)).astype(np.float64)
-        x = SeededRng(11).uniform(-1, 1, (2, 2, 5, 5))
+                        rng=seeded_rng(10)).astype(np.float64)
+        x = seeded_rng(11).uniform(-1, 1, (2, 2, 5, 5))
         for res in check_layer(conv, x, eps=1e-5, tol=1e-6):
             assert res.passed, res.line()
 
@@ -119,8 +119,8 @@ class TestConvBackward:
         # odd, non-square input: at stride 2 the windows stop short of the
         # padded extent on some axes, so the col2im slices must too
         conv = L.Conv2d(3, 4, k, stride=stride, pad=pad, bias=bias,
-                        rng=SeededRng(12)).astype(np.float64)
-        x = SeededRng(13).uniform(-1, 1, (2, 3, 7, 6))
+                        rng=seeded_rng(12)).astype(np.float64)
+        x = seeded_rng(13).uniform(-1, 1, (2, 3, 7, 6))
         results = check_layer(conv, x, eps=1e-5, tol=1e-6)
         assert [r.name for r in results] == [f"{conv.kind}.{key}" for key in ("input", *conv.params)]
         for res in results:
@@ -132,12 +132,12 @@ class TestConvBackward:
     @pytest.mark.parametrize("k", [1, 3])
     def test_backward_at_equals_dense_backward_of_its_sparse_grad(self, k, stride, pad, bias):
         conv = L.Conv2d(3, 4, k, stride=stride, pad=pad, bias=bias,
-                        rng=SeededRng(12)).astype(np.float64)
-        x = SeededRng(13).uniform(-1, 1, (2, 3, 7, 6))
+                        rng=seeded_rng(12)).astype(np.float64)
+        x = seeded_rng(13).uniform(-1, 1, (2, 3, 7, 6))
         y = conv.forward(x)
         cache = conv._cache
-        pos = SeededRng(14).integers(0, y.shape[2] * y.shape[3], (2, 4))
-        g = SeededRng(15).uniform(-1, 1, (2, 4))
+        pos = seeded_rng(14).integers(0, y.shape[2] * y.shape[3], (2, 4))
+        g = seeded_rng(15).uniform(-1, 1, (2, 4))
         dx = conv.backward_at(pos, g)
         sparse = {key: v.copy() for key, v in conv.grads.items()}
         dense_g = np.zeros((2, 4, y.shape[2] * y.shape[3]))
@@ -195,7 +195,7 @@ def test_direct_conv_oracles_agree_with_the_six_loop_one():
     # the conv is linear in x and in w, so for any directions u, v the
     # backward oracle must give <g, conv(u, w)> = <dx, u> and
     # <g, conv(x, v)> = <dW, v>
-    rng = SeededRng(30)
+    rng = seeded_rng(30)
     x, w = rng.uniform(-1, 1, (2, 3, 5, 4)), rng.uniform(-1, 1, (4, 3, 3, 3))
     u, v = rng.uniform(-1, 1, x.shape), rng.uniform(-1, 1, w.shape)
     np.testing.assert_allclose(direct_conv(x, w, 2, 1), naive_conv(x, w, 2, 1), atol=1e-12)
@@ -220,25 +220,25 @@ class TestConvBlocks:
     @pytest.mark.parametrize("k,stride,pad,hw", conv_block_grid())
     def test_matches_direct_oracle_at_block_boundaries(self, k, stride, pad, hw):
         conv = L.Conv2d(3, 4, k, stride=stride, pad=pad, bias=True,
-                        rng=SeededRng(31)).astype(np.float64)
-        conv.params["bias"][:] = SeededRng(32).uniform(-1, 1, 4)
+                        rng=seeded_rng(31)).astype(np.float64)
+        conv.params["bias"][:] = seeded_rng(32).uniform(-1, 1, 4)
         w = conv.params["weight"]
         b = conv.block_size((1, 3, *hw), 8)
         for batch in (1, b, b + 1):
-            x = SeededRng(33).uniform(-1, 1, (batch, 3, *hw))
+            x = seeded_rng(33).uniform(-1, 1, (batch, 3, *hw))
             conv.zero_grads()
             y = conv.forward(x)
             np.testing.assert_allclose(y, direct_conv(x, w, stride, pad) + conv.params["bias"][:, None, None],
                                        rtol=0, atol=1e-12)
-            g = SeededRng(34).uniform(-1, 1, y.shape)
+            g = seeded_rng(34).uniform(-1, 1, y.shape)
             dx = conv.backward(g)
             want_dx, want_dw, want_db = direct_conv_grads(x, w, g, stride, pad)
             np.testing.assert_allclose(dx, want_dx, rtol=0, atol=1e-12)
             np.testing.assert_allclose(conv.grads["weight"], want_dw, rtol=1e-12, atol=1e-12)
             np.testing.assert_allclose(conv.grads["bias"], want_db, rtol=1e-12, atol=1e-12)
             # the sparse backward indexes the same blocked cache
-            pos = SeededRng(35).integers(0, y.shape[2] * y.shape[3], y.shape[:2])
-            g_at = SeededRng(36).uniform(-1, 1, y.shape[:2])
+            pos = seeded_rng(35).integers(0, y.shape[2] * y.shape[3], y.shape[:2])
+            g_at = seeded_rng(36).uniform(-1, 1, y.shape[:2])
             sparse = np.zeros((*y.shape[:2], y.shape[2] * y.shape[3]))
             np.put_along_axis(sparse, pos[..., None], g_at[..., None], axis=-1)
             conv.zero_grads()
@@ -252,13 +252,13 @@ class TestConvBlocks:
     def test_each_sample_depends_on_itself_alone(self, k, stride):
         # float32, bit for bit: the output and dx of a sample are the same
         # whichever block, and whichever place in it, the sample falls in
-        conv = L.Conv2d(8, 16, k, stride=stride, pad=k // 2, rng=SeededRng(37))
+        conv = L.Conv2d(8, 16, k, stride=stride, pad=k // 2, rng=seeded_rng(37))
         conv.params["bias"][:] = 0.25
         b = conv.block_size((1, 8, 16, 16), 4)
         assert b >= 2
-        x = SeededRng(38).uniform(-1, 1, (2 * b + 1, 8, 16, 16), dtype=np.float32)
+        x = seeded_rng(38).uniform(-1, 1, (2 * b + 1, 8, 16, 16)).astype(np.float32)
         y = conv.forward(x)
-        g = SeededRng(39).uniform(-1, 1, y.shape, dtype=np.float32)
+        g = seeded_rng(39).uniform(-1, 1, y.shape).astype(np.float32)
         dx = conv.backward(g)
         for part in (slice(0, 1), slice(1, b + 2), slice(b + 2, None), slice(b - 1, b + 1)):
             y_part = conv.forward(x[part])
@@ -268,8 +268,8 @@ class TestConvBlocks:
     def test_float32_working_set_is_blocked(self):
         # beyond what it caches and returns, a conv holds about two blocks
         # of im2col matrices; a full-batch im2col here is 29.5 MB
-        conv = L.Conv2d(8, 32, 3, stride=1, pad=1, rng=SeededRng(40))
-        x = SeededRng(41).uniform(-1, 1, (100, 8, 32, 32), dtype=np.float32)
+        conv = L.Conv2d(8, 32, 3, stride=1, pad=1, rng=seeded_rng(40))
+        x = seeded_rng(41).uniform(-1, 1, (100, 8, 32, 32)).astype(np.float32)
         g = np.ones((100, 32, 32, 32), dtype=np.float32)
         conv.forward(x[:2])
         conv.backward(g[:2])
@@ -286,8 +286,8 @@ class TestConvBlocks:
     def test_a_training_forward_holds_no_copy_of_its_input(self):
         # the cache is the input itself, and the stride phases live in a
         # scratch of one block; a cache of the padded phases here is 3.7 MB
-        conv = L.Conv2d(8, 32, 3, stride=1, pad=1, rng=SeededRng(40))
-        x = SeededRng(41).uniform(-1, 1, (100, 8, 32, 32), dtype=np.float32)
+        conv = L.Conv2d(8, 32, 3, stride=1, pad=1, rng=seeded_rng(40))
+        x = seeded_rng(41).uniform(-1, 1, (100, 8, 32, 32)).astype(np.float32)
         tracemalloc.start()
         try:
             y = conv.forward(x)
@@ -302,22 +302,22 @@ class TestConvBlocks:
         # last block and in one full block, then on a finite input: outputs,
         # dx and grads are a fresh layer's, bit for bit
         def fresh():
-            return L.Conv2d(4, 5, k, stride=stride, pad=pad, rng=SeededRng(42))
+            return L.Conv2d(4, 5, k, stride=stride, pad=pad, rng=seeded_rng(42))
 
         def run(conv, x):
             y = conv.forward(x)
-            g = SeededRng(44).uniform(-1, 1, y.shape, dtype=np.float32)
+            g = seeded_rng(44).uniform(-1, 1, y.shape).astype(np.float32)
             dx = conv.backward(g)
             grads = [v.copy() for v in conv.grads.values()]
             conv.zero_grads()
             conv.forward(x)
-            pos = SeededRng(45).integers(0, y.shape[2] * y.shape[3], y.shape[:2])
+            pos = seeded_rng(45).integers(0, y.shape[2] * y.shape[3], y.shape[:2])
             dx_at = conv.backward_at(pos, g[:, :, 0, 0])
             return [y, dx, dx_at, *grads, *conv.grads.values()]
 
         shape = (4, 9, 7)
         batch = fresh().block_size((1, *shape), 4) + 1
-        x = SeededRng(43).uniform(-1, 1, (batch, *shape), dtype=np.float32)
+        x = seeded_rng(43).uniform(-1, 1, (batch, *shape)).astype(np.float32)
         poison = x.copy()
         poison[:, :, ::2] = np.inf
         poison[:, :, 1::2, ::3] = np.nan
@@ -356,10 +356,10 @@ class TestPooling:
 
     def test_pool_gradients_match_finite_differences(self):
         # random inputs keep window maxima unique, away from tie points
-        x = SeededRng(12).uniform(-5, 5, (2, 2, 6, 6))
+        x = seeded_rng(12).uniform(-5, 5, (2, 2, 6, 6))
         for res in check_layer(L.MaxPool2x2(), x, eps=1e-5, tol=1e-6):
             assert res.passed, res.line()
-        x = SeededRng(13).uniform(-5, 5, (2, 3, 5, 5))
+        x = seeded_rng(13).uniform(-5, 5, (2, 3, 5, 5))
         for res in check_layer(L.AdaptiveMaxPool(), x, eps=1e-5, tol=1e-6):
             assert res.passed, res.line()
 
@@ -372,7 +372,7 @@ class TestPooling:
             L.MaxPool2x2().forward(np.zeros((1, 1, 1, 4)))
 
     def test_maxpool_cache_serves_one_backward(self):
-        x = SeededRng(19).uniform(-1, 1, (2, 3, 5, 4), dtype=np.float32)
+        x = seeded_rng(19).uniform(-1, 1, (2, 3, 5, 4)).astype(np.float32)
         g = np.ones((2, 3, 2, 2), dtype=np.float32)
         pool = L.MaxPool2x2()
         pool(x)
@@ -388,7 +388,7 @@ class TestPooling:
 
 class TestBatchNorm:
     def test_train_mode_normalizes(self):
-        rng = SeededRng(14)
+        rng = seeded_rng(14)
         x = rng.uniform(-3, 7, (8, 3, 4, 4))
         bn = L.BatchNorm2d(3).astype(np.float64)
         out = bn.forward(x)
@@ -396,7 +396,7 @@ class TestBatchNorm:
         np.testing.assert_allclose(out.var(axis=(0, 2, 3)), 1.0, atol=1e-4)
 
     def test_affine_parameters_apply(self):
-        rng = SeededRng(15)
+        rng = seeded_rng(15)
         x = rng.uniform(-1, 1, (4, 2, 3, 3))
         bn = L.BatchNorm2d(2).astype(np.float64)
         base = bn.forward(x).copy()
@@ -411,7 +411,7 @@ class TestBatchNorm:
         assert np.all(np.isfinite(out))
 
     def test_eval_mode_is_pure(self):
-        rng = SeededRng(16)
+        rng = seeded_rng(16)
         bn = L.BatchNorm2d(2).astype(np.float64)
         for _ in range(5):
             bn.forward(rng.uniform(-1, 1, (4, 2, 3, 3)))  # accumulate running stats
@@ -423,7 +423,7 @@ class TestBatchNorm:
 
     def test_gradients_match_finite_differences(self):
         bn = L.BatchNorm2d(3).astype(np.float64)
-        x = SeededRng(17).uniform(-2, 2, (4, 3, 3, 3))
+        x = seeded_rng(17).uniform(-2, 2, (4, 3, 3, 3))
         for res in check_layer(bn, x, eps=1e-5, tol=1e-5):
             assert res.passed, res.line()
 
@@ -434,11 +434,11 @@ class TestBatchNorm:
     def test_eval_forward_leaves_no_cache_for_backward(self):
         # an eval forward must not hand the previous training forward's
         # cache to backward, even when called directly rather than as bn(x)
-        rng = SeededRng(18)
+        rng = seeded_rng(18)
         bn = L.BatchNorm2d(3)
-        bn.forward(rng.uniform(-1, 1, (4, 3, 3, 3), dtype=np.float32))
+        bn.forward(rng.uniform(-1, 1, (4, 3, 3, 3)).astype(np.float32))
         bn.set_training(False)
-        bn.forward(rng.uniform(-2, 2, (4, 3, 3, 3), dtype=np.float32))
+        bn.forward(rng.uniform(-2, 2, (4, 3, 3, 3)).astype(np.float32))
         with pytest.raises(ContractError, match="without a new forward"):
             bn.backward(np.ones((4, 3, 3, 3), dtype=np.float32))
 
@@ -447,7 +447,7 @@ class TestLinear:
     def test_identity_weight(self):
         lin = L.Linear(3, 3).astype(np.float64)
         lin.params["weight"] = np.eye(3)
-        x = SeededRng(18).uniform(-1, 1, (4, 3))
+        x = seeded_rng(18).uniform(-1, 1, (4, 3))
         np.testing.assert_allclose(lin.forward(x), x, atol=1e-15)
 
     def test_bias_applies(self):
@@ -461,8 +461,8 @@ class TestLinear:
             L.Linear(3, 2).forward(np.zeros((1, 4), dtype=np.float32))
 
     def test_flattens_axes_after_the_batch(self):
-        lin = L.Linear(6, 2, rng=SeededRng(27)).astype(np.float64)
-        x = SeededRng(28).uniform(-1, 1, (4, 3, 2, 1))
+        lin = L.Linear(6, 2, rng=seeded_rng(27)).astype(np.float64)
+        x = seeded_rng(28).uniform(-1, 1, (4, 3, 2, 1))
         out = lin.forward(x)
         assert out.tobytes() == lin.forward(x.reshape(4, 6)).tobytes()
         lin.forward(x)
@@ -473,14 +473,14 @@ class TestLinear:
             L.Linear(6, 2).forward(np.zeros((1, 7, 1, 1), dtype=np.float32))
 
     def test_gradients_match_finite_differences(self):
-        lin = L.Linear(5, 3, rng=SeededRng(19)).astype(np.float64)
-        x = SeededRng(20).uniform(-1, 1, (4, 5))
+        lin = L.Linear(5, 3, rng=seeded_rng(19)).astype(np.float64)
+        x = seeded_rng(20).uniform(-1, 1, (4, 5))
         for res in check_layer(lin, x, eps=1e-5, tol=1e-7):
             assert res.passed, res.line()
 
     def test_gradient_check_needs_64_bit_params(self):
         with pytest.raises(ContractError, match="float64"):
-            check_layer(L.Linear(5, 3), SeededRng(20).uniform(-1, 1, (4, 5)))
+            check_layer(L.Linear(5, 3), seeded_rng(20).uniform(-1, 1, (4, 5)))
 
 
 class TestActivations:
@@ -495,12 +495,12 @@ class TestActivations:
         assert np.isfinite(out[0])
 
     def test_softplus_strictly_positive(self):
-        x = SeededRng(21).uniform(-500, 500, (10000,))
+        x = seeded_rng(21).uniform(-500, 500, (10000,))
         assert np.all(L.Softplus().forward(x) > 0)
 
     def test_softplus_derivative_matches_finite_differences(self):
         sp = L.Softplus()
-        x = SeededRng(22).uniform(-5, 5, (50,))
+        x = seeded_rng(22).uniform(-5, 5, (50,))
         sp.forward(x)
         analytic = sp.backward(np.ones(50))
 
@@ -529,12 +529,12 @@ class TestActivations:
 class TestComposedBlock:
     def test_conv_bn_relu_pool_chain_gradient(self):
         """Composite gradient through a full small block, layer by layer."""
-        rng = SeededRng(24)
+        rng = seeded_rng(24)
         conv = L.Conv2d(2, 4, 3, stride=1, pad=1, bias=False, rng=rng).astype(np.float64)
         bn = L.BatchNorm2d(4).astype(np.float64)
         chain = [conv, bn, L.ReLU(), L.MaxPool2x2()]
-        x = SeededRng(25).uniform(-1, 1, (3, 2, 6, 6))
-        weights = SeededRng(26).uniform(-1, 1, (3, 4, 3, 3))
+        x = seeded_rng(25).uniform(-1, 1, (3, 2, 6, 6))
+        weights = seeded_rng(26).uniform(-1, 1, (3, 4, 3, 3))
 
         def run(xv):
             for layer in chain:
@@ -564,7 +564,7 @@ class TestLayerZooSweep:
 
 
 def zoo_and_score_norm():
-    layers = _layer_zoo(SeededRng(0)) + [(ScoreNorm("l2"), (3, 5))]
+    layers = _layer_zoo(seeded_rng(0)) + [(ScoreNorm("l2"), (3, 5))]
     return [pytest.param(layer, shape, id=f"{i}-{layer.kind}")
             for i, (layer, shape) in enumerate(layers)]
 
@@ -572,6 +572,6 @@ def zoo_and_score_norm():
 @pytest.mark.parametrize("layer,shape", zoo_and_score_norm())
 def test_backward_rejects_a_gradient_of_another_shape(layer, shape):
     # a batch-1 gradient would broadcast against a batch-B cache into a batch-B dx
-    out = layer.forward(SeededRng(1).uniform(-2, 2, shape))
+    out = layer.forward(seeded_rng(1).uniform(-2, 2, shape))
     with pytest.raises(ShapeError, match=rf"^{layer.kind}: gradient of shape \(1, "):
         layer.backward(np.ones((1,) + out.shape[1:]))
