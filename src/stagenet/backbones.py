@@ -184,8 +184,10 @@ class Model(Layer):
     ``head<t>`` (``multi`` mode, ``classifier`` None) or one
     ``classifier`` (``original`` mode, ``heads`` None).
     Unlike the composites it holds, it lists them in its own ``children()``
-    rather than with ``add``: its forward and backward index ``sets`` and
-    ``heads`` by stage.  It writes each node's qualified name into that
+    rather than with ``add``, and in ``multi`` mode that order is not the
+    execution order: head t runs right after set t in forward and right
+    before it in backward, so a head's conv output never sits on top of a
+    later stage's caches.  It writes each node's qualified name into that
     node's ``name``, which starts the node's error messages.
     """
 
@@ -199,10 +201,6 @@ class Model(Layer):
         self.classifier = classifier
         for name, layer in self.modules():
             layer.name = name
-
-    @property
-    def n_sets(self) -> int:
-        return len(self.sets)
 
     @property
     def param_dtype(self) -> np.dtype:
@@ -228,29 +226,25 @@ class Model(Layer):
         if x.dtype != self.param_dtype:
             raise ContractError(f"input dtype {x.dtype} != model param dtype {self.param_dtype}")
         self.set_training(training)
-        taps = []
+        per_head = []
         for s in self.sets:
             x = s(x)
-            taps.append(x)
+            if self.heads is not None:
+                per_head.append(self.heads[s.index - 1](x))
         if self.heads is not None:
-            per_head = [head(t) for head, t in zip(self.heads, taps)]
             return aggregate_scores(per_head), per_head
-        return self.classifier(taps[-1]), None
+        return self.classifier(x), None
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         """Backpropagate from the model output gradient into all parameters;
         returns the gradient of the input."""
-        if self.heads is not None:
-            # the aggregate is a plain sum, so each head sees the same gradient
-            tap_grads = [head.backprop(grad_out) for head in self.heads]
-        else:
-            tap_grads = [None] * (self.n_sets - 1) + [self.classifier.backprop(grad_out)]
-        grad = None
-        for t in range(self.n_sets - 1, -1, -1):
-            g = tap_grads[t]
-            if grad is not None:
-                g = grad if g is None else g + grad
-            grad = self.sets[t].backprop(g)
+        grad = self.classifier.backprop(grad_out) if self.heads is None else None
+        for s in reversed(self.sets):
+            if self.heads is not None:
+                # the aggregate is a plain sum, so each head sees the same gradient
+                g = self.heads[s.index - 1].backprop(grad_out)
+                grad = g if grad is None else g + grad
+            grad = s.backprop(grad)
         return grad
 
     def count_stats(self, input_shape, flop_mode: int = 1) -> ModelStats:

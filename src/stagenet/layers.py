@@ -105,12 +105,13 @@ class Layer:
     ``children()``.  Its forward runs the children in that order and its
     backward runs them reversed.
     Composites override forward/backward only where the graph branches
-    (``_ResidualUnit`` and ``Model``) or where a child's gradient is known
-    to be sparse (``ClassifierHead``'s backward); they keep the default
-    ``kind``.  Every backward returns dx.  A leaf's forward keeps what its
-    backward needs with ``_keep``, and its backward takes that with
-    ``_need_cache(grad_out)``, which rejects a gradient whose shape is not
-    the output's.
+    (``_ResidualUnit``, and ``Model``, which runs head t beside set t both
+    ways, so its ``children()`` order is not its execution order) or where
+    a child's gradient is known to be sparse (``ClassifierHead``'s
+    backward); they keep the default ``kind``.  Every backward returns dx.
+    A leaf's forward keeps what its backward needs with ``_keep``, and its
+    backward takes that with ``_need_cache(grad_out)``, which rejects a
+    gradient whose shape is not the output's.
     Parameters, gradients, buffers (non-trainable state that checkpoints
     persist, in the ``buffers`` dict) and the training flag are reached by
     one walk, ``modules()``, under qualified names such as
@@ -663,11 +664,13 @@ class BatchNorm2d(Layer):
             invstd = 1.0 / np.sqrt(var + self.EPS)
             xhat *= np.repeat(invstd, hw)
             cache = (xhat, invstd, m)
+            out = np.multiply(xhat, np.repeat(self.params["gamma"], hw))
         else:
-            invstd = 1.0 / np.sqrt(running_var + self.EPS)
-            xhat = (rows - np.repeat(running_mean, hw)) * np.repeat(invstd, hw)
+            # the same four steps as train mode, in place in one array
+            out = rows - np.repeat(running_mean, hw)
+            out *= np.repeat(1.0 / np.sqrt(running_var + self.EPS), hw)
+            out *= np.repeat(self.params["gamma"], hw)
             cache = None
-        out = np.multiply(xhat, np.repeat(self.params["gamma"], hw))
         out += np.repeat(self.params["beta"], hw)
         return self._keep(cache, out.reshape(x.shape))
 

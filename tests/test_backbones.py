@@ -1,6 +1,7 @@
 """Backbone construction, forward contracts, and complexity accounting."""
 
 import inspect
+import tracemalloc
 import zlib
 from typing import get_args
 
@@ -66,7 +67,7 @@ class TestStructure:
     def test_resnet18_multi_has_five_matching_heads(self):
         model = build_preset("resnet18", "multi", n_classes=N)
         assert model.classifier is None
-        assert len(model.heads) == model.n_sets == 5
+        assert len(model.heads) == len(model.sets) == 5
         for head in model.heads:
             assert head.conv.out_channels == 512
             assert head.conv.kernel_size == 3
@@ -75,11 +76,11 @@ class TestStructure:
     def test_head_count_equals_set_count_everywhere(self):
         for preset in ("vgg16", "resnet18", "mini_vgg", "mini_resnet", "mini_cnn"):
             model = build_preset(preset, "multi", n_classes=3)
-            assert len(model.heads) == model.n_sets
+            assert len(model.heads) == len(model.sets)
 
     def test_mini_cnn_is_single_set_single_head(self):
         model = build_preset("mini_cnn", "multi", n_classes=N)
-        assert model.n_sets == 1 and len(model.heads) == 1
+        assert len(model.sets) == 1 and len(model.heads) == 1
         out, per_head = model.forward(np.zeros((2, 3, 8, 8), dtype=np.float32))
         assert out.shape == (2, N) and len(per_head) == 1
 
@@ -176,7 +177,7 @@ class TestNames:
         model = build_preset("mini_resnet", mode, n_classes=4)
         x = seeded_rng(4).uniform(0, 1, (2, 3, 16, 16)).astype(np.float32)
         _, grad = one_training_step(model, x, np.array([1, 2]))
-        first = {"multi": "head1.norm", "original": "classifier.fc0"}[mode]
+        first = {"multi": "head4.norm", "original": "classifier.fc0"}[mode]
         with pytest.raises(ContractError, match=f"^{first}: backward called without a new forward"):
             model.backward(grad)
 
@@ -252,7 +253,7 @@ class TestForward:
         model = build_preset("mini_resnet", "multi", n_classes=6)
         x = seeded_rng(3).uniform(0, 1, (4, 3, 16, 16)).astype(np.float32)
         agg, _ = model.forward(x)
-        assert np.all(agg > 0) and np.all(agg < model.n_sets)
+        assert np.all(agg > 0) and np.all(agg < len(model.sets))
 
     def test_too_small_input_names_the_offending_set(self):
         # 8x8 pools down 8->4->2->1 through sets 1-3; set 4 cannot pool 1x1
@@ -385,6 +386,55 @@ class TestHook:
         assert plain.keys() == frozen.keys()
         for k in plain:
             assert plain[k].tobytes() == frozen[k].tobytes(), k
+
+
+class TestHeadsRunBesideTheirStage:
+    """In ``multi`` mode head t runs right after set t forward and right
+    before it backward, whatever the ``children()`` order."""
+
+    @pytest.mark.parametrize("preset", ["mini_resnet", "mini_vgg", "mixed"])
+    def test_each_head_reports_between_its_stage_and_the_next(self, preset):
+        model = (build(mixed_spec(), "multi", n_classes=4) if preset == "mixed"
+                 else build_preset(preset, "multi", n_classes=4))
+        x = seeded_rng(4).uniform(0, 1, (2, 3, 16, 16)).astype(np.float32)
+        calls = []
+        with model.hooked(lambda name, layer, d, out: calls.append((d, name))):
+            one_training_step(model, x, np.array([1, 2]))
+
+        def span(d, part):
+            at = [i for i, (dd, n) in enumerate(calls) if dd == d and n.split(".")[0] == part]
+            return min(at), max(at)
+
+        n = len(model.sets)
+        for t in range(1, n + 1):
+            head, stage = span("fwd", f"head{t}"), span("fwd", f"set{t}")
+            assert stage[1] < head[0], t
+            if t < n:
+                assert head[1] < span("fwd", f"set{t + 1}")[0], t
+            head, stage = span("bwd", f"head{t}"), span("bwd", f"set{t}")
+            assert head[1] < stage[0], t
+            if t < n:
+                assert span("bwd", f"set{t + 1}")[1] < head[0], t
+
+    def test_a_training_step_never_holds_head1_conv_output_on_top_of_the_caches(self):
+        # head1's conv output, (B,32,32,32) float32, is 12.5 MiB here; run
+        # after the last stage, it came on top of every cache of the step
+        b = 100
+        model = build_preset("mini_resnet", "multi", n_classes=N, seed=2)
+        x = seeded_rng(60).uniform(0, 1, (b, 3, 32, 32)).astype(np.float32)
+        labels = seeded_rng(61).integers(0, N, b)
+        one_training_step(model, x, labels)
+        tracemalloc.start()
+        try:
+            out, _ = model.forward(x, training=True)
+            held, _ = tracemalloc.get_traced_memory()
+            _, grad = batch_cross_entropy(out, labels)
+            model.zero_grads()
+            model.backward(grad)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - held < b * 32 * 32 * 32 * 4
 
 
 def vgg16_conv_params():

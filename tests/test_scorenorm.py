@@ -4,6 +4,9 @@ checked through oracles local to this file."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from stagenet import scorenorm as sn
 from stagenet.errors import ContractError, ShapeError
@@ -48,6 +51,12 @@ def convergence_condition(x, i):
     """S_i >= 1/4, i.e. sum_k exp(x_k) <= 4 exp(x_i): the regime in which
     the L2 form's off-diagonal derivative is at least softmax's."""
     return bool(sn.softmax(x)[i] >= 0.25)
+
+
+def loss_floor(t, n):
+    """ln(1 + (N-1)e^(-T)): the least cross-entropy of a sum of T rows with
+    entries in [0, 1] (the ``heads`` module's contract)."""
+    return np.log1p((n - 1) * np.exp(-t))
 
 
 def lower_bound_ok(x, n):
@@ -245,3 +254,25 @@ class TestCrossEntropy:
         assert loss == pytest.approx(np.mean(per), abs=1e-12)
         numerical = numerical_gradient(lambda z: sn.batch_cross_entropy(z, labels)[0], logits)
         np.testing.assert_allclose(grad, numerical, atol=1e-9)
+
+
+class TestLossFloor:
+    """The cross-entropy of a sum of T L2-score rows cannot fall below the floor."""
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(data=st.data(), t=st.integers(1, 6), n=st.integers(2, 12), b=st.integers(1, 4))
+    def test_sum_of_l2_rows_stays_above_the_floor(self, data, t, n, b):
+        logits = data.draw(arrays(np.float64, (t, b, n), elements=st.floats(-40, 40)))
+        labels = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=b, max_size=b)))
+        total = sn.l2_score(logits).sum(axis=0)
+        for r in range(b):
+            loss, _ = sn.batch_cross_entropy(total[r:r + 1], labels[r:r + 1])
+            assert loss >= loss_floor(t, n) - 1e-12
+
+    @pytest.mark.parametrize("t,n,floor", [(4, 10, 0.153), (3, 10, 0.370), (5, 100, 0.511)])
+    def test_one_hot_rows_meet_the_floor(self, t, n, floor):
+        # every head's L2 row one-hot on the true class, to float precision
+        rows = sn.l2_score(np.where(np.eye(n, dtype=bool), 200.0, 0.0))
+        loss, _ = sn.batch_cross_entropy(t * rows, np.arange(n))
+        assert loss == pytest.approx(loss_floor(t, n), abs=1e-12)
+        assert loss_floor(t, n) == pytest.approx(floor, abs=5e-4)
